@@ -158,54 +158,6 @@ pub fn explore_terminal_ok(check: &DeploymentCheck) -> bool {
     check.is_satisfied() || check.is_crash_degraded()
 }
 
-/// Runs the exhaustive explorer for a family's behavior + terminal
-/// predicate — the generic half every [`ProblemFamily::explore`] impl
-/// delegates to.
-///
-/// # Errors
-///
-/// The type-erased [`ExploreErrorKind`] of the exploration failure.
-pub fn explore_family<B>(
-    explorer: &Explorer,
-    init: &InitialConfig,
-    make: impl Fn() -> B + Sync,
-    engine: ExploreEngine,
-    terminal_ok: impl Fn(&Ring<B>) -> bool + Sync,
-) -> Result<ExploreReport, ExploreErrorKind>
-where
-    B: Behavior + Clone + Hash + Send + Sync,
-    B::Message: Clone + Hash + Send + Sync,
-{
-    let ring = Ring::new(init, |_| make());
-    let result = match engine {
-        ExploreEngine::Stealing => explorer.run(&ring, terminal_ok),
-        ExploreEngine::Serial => explorer.run_serial(&ring, terminal_ok),
-        ExploreEngine::Reference => explorer.run_serial_reference(&ring, terminal_ok),
-    };
-    result.map_err(|e| e.kind())
-}
-
-/// Runs the branch-and-bound worst-case search for a family's behavior —
-/// the generic half every [`ProblemFamily::worst_case`] impl delegates
-/// to.
-///
-/// # Errors
-///
-/// See [`AdversaryError`].
-pub fn worst_case_family<B>(
-    adversary: &Adversary,
-    init: &InitialConfig,
-    make: impl Fn() -> B,
-    objective: Objective,
-) -> Result<WorstCase, AdversaryError>
-where
-    B: Behavior + Clone + Hash,
-    B::Message: Clone + Hash,
-{
-    let ring = Ring::new(init, |_| make());
-    adversary.run(&ring, objective)
-}
-
 /// One problem family's complete contract with the verification stack.
 ///
 /// Implementations are `'static` values registered behind a [`Family`]
@@ -213,9 +165,10 @@ where
 /// on purpose: the behavior type is an internal detail each family
 /// erases inside [`deploy`](ProblemFamily::deploy) /
 /// [`explore`](ProblemFamily::explore) /
-/// [`worst_case`](ProblemFamily::worst_case) (via [`explore_family`] and
-/// [`worst_case_family`]), which is what keeps the trait object-safe and
-/// the layers above `core` free of per-family matches.
+/// [`worst_case`](ProblemFamily::worst_case), which is what keeps the
+/// trait object-safe and the layers above `core` free of per-family
+/// matches. The built-in families get those three from one generic impl
+/// over their agent type and terminal check.
 ///
 /// # Invariants the layers above assume
 ///
@@ -402,26 +355,46 @@ impl std::fmt::Display for Family {
     }
 }
 
-/// The built-in family of Algorithm 1 (§3.1).
-#[derive(Debug)]
-pub struct UniformFullKnowledge;
+/// The per-family half of a [`ProblemFamily`]: the agent type, its
+/// constructor and the terminal check, plus the family's identity and
+/// bounds. The one generic [`ProblemFamily`] impl over it supplies
+/// `deploy`, `explore` and `worst_case`, so a built-in family states
+/// only what differs between families.
+pub(crate) trait FamilyBehavior: Send + Sync {
+    /// The per-agent state machine.
+    type Agent: Behavior<Message: Clone + Hash + Send + Sync> + Clone + Hash + Send + Sync;
 
-impl ProblemFamily for UniformFullKnowledge {
+    /// See [`ProblemFamily::name`].
+    fn name(&self) -> &'static str;
+
+    /// See [`ProblemFamily::halts`].
+    fn halts(&self) -> bool;
+
+    /// The initial state of every agent on an instance of `k` agents.
+    fn agent(&self, k: usize) -> Self::Agent;
+
+    /// The definition a terminal configuration must satisfy.
+    fn check(&self, ring: &Ring<Self::Agent>) -> DeploymentCheck;
+
+    /// See [`ProblemFamily::paper_bound`].
+    fn paper_bound(&self, objective: Objective, n: usize, k: usize, l: usize) -> PaperBound;
+
+    /// See [`ProblemFamily::oracle_moves`].
+    fn oracle_moves(&self, init: &InitialConfig) -> Option<u64>;
+}
+
+impl<F: FamilyBehavior> ProblemFamily for F {
     fn name(&self) -> &'static str {
-        "algo1-full-knowledge"
+        FamilyBehavior::name(self)
     }
 
     fn halts(&self) -> bool {
-        true
+        FamilyBehavior::halts(self)
     }
 
     fn deploy(&self, driver: Driver<'_>, mode: DriveMode<'_>) -> Result<DeployReport, DeployError> {
         let k = driver.init().agent_count();
-        driver.run_behavior(
-            mode,
-            |_| FullKnowledge::new(k),
-            satisfies_halting_deployment,
-        )
+        driver.run_behavior(mode, |_| self.agent(k), |ring| self.check(ring))
     }
 
     fn explore(
@@ -430,14 +403,14 @@ impl ProblemFamily for UniformFullKnowledge {
         explorer: &Explorer,
         engine: ExploreEngine,
     ) -> Result<ExploreReport, ExploreErrorKind> {
-        let k = init.agent_count();
-        explore_family(
-            explorer,
-            init,
-            || FullKnowledge::new(k),
-            engine,
-            |r| explore_terminal_ok(&satisfies_halting_deployment(r)),
-        )
+        let ring = Ring::new(init, |_| self.agent(init.agent_count()));
+        let terminal_ok = |r: &Ring<F::Agent>| explore_terminal_ok(&self.check(r));
+        let result = match engine {
+            ExploreEngine::Stealing => explorer.run(&ring, terminal_ok),
+            ExploreEngine::Serial => explorer.run_serial(&ring, terminal_ok),
+            ExploreEngine::Reference => explorer.run_serial_reference(&ring, terminal_ok),
+        };
+        result.map_err(|e| e.kind())
     }
 
     fn worst_case(
@@ -446,8 +419,40 @@ impl ProblemFamily for UniformFullKnowledge {
         adversary: &Adversary,
         objective: Objective,
     ) -> Result<WorstCase, AdversaryError> {
-        let k = init.agent_count();
-        worst_case_family(adversary, init, || FullKnowledge::new(k), objective)
+        let ring = Ring::new(init, |_| self.agent(init.agent_count()));
+        adversary.run(&ring, objective)
+    }
+
+    fn paper_bound(&self, objective: Objective, n: usize, k: usize, l: usize) -> PaperBound {
+        FamilyBehavior::paper_bound(self, objective, n, k, l)
+    }
+
+    fn oracle_moves(&self, init: &InitialConfig) -> Option<u64> {
+        FamilyBehavior::oracle_moves(self, init)
+    }
+}
+
+/// The built-in family of Algorithm 1 (§3.1).
+#[derive(Debug)]
+pub struct UniformFullKnowledge;
+
+impl FamilyBehavior for UniformFullKnowledge {
+    type Agent = FullKnowledge;
+
+    fn name(&self) -> &'static str {
+        "algo1-full-knowledge"
+    }
+
+    fn halts(&self) -> bool {
+        true
+    }
+
+    fn agent(&self, k: usize) -> FullKnowledge {
+        FullKnowledge::new(k)
+    }
+
+    fn check(&self, ring: &Ring<FullKnowledge>) -> DeploymentCheck {
+        satisfies_halting_deployment(ring)
     }
 
     fn paper_bound(&self, objective: Objective, n: usize, k: usize, _l: usize) -> PaperBound {
@@ -471,7 +476,9 @@ impl ProblemFamily for UniformFullKnowledge {
 #[derive(Debug)]
 pub struct UniformLogSpace;
 
-impl ProblemFamily for UniformLogSpace {
+impl FamilyBehavior for UniformLogSpace {
+    type Agent = LogSpace;
+
     fn name(&self) -> &'static str {
         "algo2-log-space"
     }
@@ -480,35 +487,12 @@ impl ProblemFamily for UniformLogSpace {
         true
     }
 
-    fn deploy(&self, driver: Driver<'_>, mode: DriveMode<'_>) -> Result<DeployReport, DeployError> {
-        let k = driver.init().agent_count();
-        driver.run_behavior(mode, |_| LogSpace::new(k), satisfies_halting_deployment)
+    fn agent(&self, k: usize) -> LogSpace {
+        LogSpace::new(k)
     }
 
-    fn explore(
-        &self,
-        init: &InitialConfig,
-        explorer: &Explorer,
-        engine: ExploreEngine,
-    ) -> Result<ExploreReport, ExploreErrorKind> {
-        let k = init.agent_count();
-        explore_family(
-            explorer,
-            init,
-            || LogSpace::new(k),
-            engine,
-            |r| explore_terminal_ok(&satisfies_halting_deployment(r)),
-        )
-    }
-
-    fn worst_case(
-        &self,
-        init: &InitialConfig,
-        adversary: &Adversary,
-        objective: Objective,
-    ) -> Result<WorstCase, AdversaryError> {
-        let k = init.agent_count();
-        worst_case_family(adversary, init, || LogSpace::new(k), objective)
+    fn check(&self, ring: &Ring<LogSpace>) -> DeploymentCheck {
+        satisfies_halting_deployment(ring)
     }
 
     fn paper_bound(&self, objective: Objective, n: usize, k: usize, _l: usize) -> PaperBound {
@@ -532,7 +516,9 @@ impl ProblemFamily for UniformLogSpace {
 #[derive(Debug)]
 pub struct UniformRelaxed;
 
-impl ProblemFamily for UniformRelaxed {
+impl FamilyBehavior for UniformRelaxed {
+    type Agent = NoKnowledge;
+
     fn name(&self) -> &'static str {
         "algo4-relaxed"
     }
@@ -541,28 +527,12 @@ impl ProblemFamily for UniformRelaxed {
         false
     }
 
-    fn deploy(&self, driver: Driver<'_>, mode: DriveMode<'_>) -> Result<DeployReport, DeployError> {
-        driver.run_behavior(mode, |_| NoKnowledge::new(), satisfies_suspended_deployment)
+    fn agent(&self, _k: usize) -> NoKnowledge {
+        NoKnowledge::new()
     }
 
-    fn explore(
-        &self,
-        init: &InitialConfig,
-        explorer: &Explorer,
-        engine: ExploreEngine,
-    ) -> Result<ExploreReport, ExploreErrorKind> {
-        explore_family(explorer, init, NoKnowledge::new, engine, |r| {
-            explore_terminal_ok(&satisfies_suspended_deployment(r))
-        })
-    }
-
-    fn worst_case(
-        &self,
-        init: &InitialConfig,
-        adversary: &Adversary,
-        objective: Objective,
-    ) -> Result<WorstCase, AdversaryError> {
-        worst_case_family(adversary, init, NoKnowledge::new, objective)
+    fn check(&self, ring: &Ring<NoKnowledge>) -> DeploymentCheck {
+        satisfies_suspended_deployment(ring)
     }
 
     fn paper_bound(&self, objective: Objective, n: usize, k: usize, l: usize) -> PaperBound {
@@ -598,7 +568,9 @@ impl PartialGatheringFamily {
     }
 }
 
-impl ProblemFamily for PartialGatheringFamily {
+impl FamilyBehavior for PartialGatheringFamily {
+    type Agent = PartialGathering;
+
     fn name(&self) -> &'static str {
         self.name
     }
@@ -607,41 +579,12 @@ impl ProblemFamily for PartialGatheringFamily {
         true
     }
 
-    fn deploy(&self, driver: Driver<'_>, mode: DriveMode<'_>) -> Result<DeployReport, DeployError> {
-        let k = driver.init().agent_count();
-        let g = self.g;
-        driver.run_behavior(
-            mode,
-            |_| PartialGathering::new(k),
-            move |ring| satisfies_partial_gathering(ring, g),
-        )
+    fn agent(&self, k: usize) -> PartialGathering {
+        PartialGathering::new(k)
     }
 
-    fn explore(
-        &self,
-        init: &InitialConfig,
-        explorer: &Explorer,
-        engine: ExploreEngine,
-    ) -> Result<ExploreReport, ExploreErrorKind> {
-        let k = init.agent_count();
-        let g = self.g;
-        explore_family(
-            explorer,
-            init,
-            || PartialGathering::new(k),
-            engine,
-            move |r| explore_terminal_ok(&satisfies_partial_gathering(r, g)),
-        )
-    }
-
-    fn worst_case(
-        &self,
-        init: &InitialConfig,
-        adversary: &Adversary,
-        objective: Objective,
-    ) -> Result<WorstCase, AdversaryError> {
-        let k = init.agent_count();
-        worst_case_family(adversary, init, || PartialGathering::new(k), objective)
+    fn check(&self, ring: &Ring<PartialGathering>) -> DeploymentCheck {
+        satisfies_partial_gathering(ring, self.g)
     }
 
     fn paper_bound(&self, objective: Objective, n: usize, k: usize, _l: usize) -> PaperBound {

@@ -14,14 +14,15 @@
 //!
 //! # The search
 //!
-//! A depth-first branch-and-bound over the configuration graph, built on
-//! the same machinery as the explorer's serial engine:
+//! A depth-first branch-and-bound over the configuration graph. It is a
+//! visitor of the explorer's walk kernel ([`crate::explore`]), the same
+//! in-place DFS the explorer's engines run:
 //!
-//! * children are generated in place with the reversible
+//! * the kernel generates children in place with the reversible
 //!   [`Ring::apply`]/[`Ring::undo`] pair (no per-child clone), the
 //!   enabled slices of all live states share one activation arena, and
-//!   canonical fingerprints are maintained incrementally (the explorer's
-//!   `FingerprintCache`: ≤ 2 node symbols re-derived per step);
+//!   canonical fingerprints are maintained incrementally (≤ 2 node
+//!   symbols re-derived per step);
 //! * the visited map memoises, per fingerprint, the exact
 //!   **maximum-remaining value** `rem(C)`: the most the objective can
 //!   still gain over any fair schedule from `C` to quiescence,
@@ -103,11 +104,14 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::ops::ControlFlow;
 
 use crate::agent::Behavior;
 use crate::engine::{Ring, StepUndo};
 use crate::error::SimError;
-use crate::explore::{ExploreLimits, FingerprintCache, FpBuildHasher, SymbolPatch, SymmetryMode};
+use crate::explore::{
+    limit_exceeded, Child, ExploreLimits, FpBuildHasher, SymmetryMode, Visitor, Walk,
+};
 use crate::scheduler::Activation;
 
 /// The quantity the adversarial schedule maximises — the paper's three
@@ -333,228 +337,79 @@ impl Adversary {
         B: Behavior + Clone + Hash,
         B::Message: Clone + Hash,
     {
-        let limits = self.limits;
-        let mut cur = ring.clone_for_exploration();
-        let mut cache = FingerprintCache::new(self.symmetry, &cur);
-        let root_fp = cache.fingerprint(&cur);
+        let mut walk = Walk::new(ring, self.symmetry, self.limits.max_depth);
+        let root_fp = walk.cache.fingerprint(&walk.ring);
         let root_acc = match objective {
-            Objective::PeakMemoryBits => cur.metrics().peak_memory_bits() as u64,
+            Objective::PeakMemoryBits => walk.ring.metrics().peak_memory_bits() as u64,
             _ => 0,
         };
-        // The move-bound prune is admissible only when the per-agent
-        // hints are: [`Behavior::max_remaining_moves`] promises a bound
-        // under *fault-free* schedules (a crash elsewhere can strand an
-        // algorithm's termination condition and make it walk longer), so
-        // the prune arms only for the moves objective on fault-free
-        // plans. Other objectives have no per-agent bound at all.
-        let bound_prune =
-            self.bound_prune && objective == Objective::TotalMoves && cur.fault_plan().is_empty();
-
-        let mut visited: HashMap<u64, Entry, FpBuildHasher> = HashMap::default();
-        visited.insert(root_fp, Entry::OnPath);
-        let mut worst = WorstCase {
+        let mut search = Search {
             objective,
-            value: 0,
-            witness: Vec::new(),
-            terminal_fingerprint: root_fp,
-            distinct_states: 1,
-            expansions: 1,
-            dominance_prunes: 0,
-            bound_prunes: 0,
-            terminal_hits: 0,
-            max_depth_seen: 0,
+            max_states: self.limits.max_states,
+            // The move-bound prune is admissible only when the per-agent
+            // hints are: [`Behavior::max_remaining_moves`] promises a
+            // bound under *fault-free* schedules (a crash elsewhere can
+            // strand an algorithm's termination condition and make it
+            // walk longer), so the prune arms only for the moves
+            // objective on fault-free plans. Other objectives have no
+            // per-agent bound at all.
+            bound_prune: self.bound_prune
+                && objective == Objective::TotalMoves
+                && walk.ring.fault_plan().is_empty(),
+            visited: HashMap::default(),
+            worst: WorstCase {
+                objective,
+                value: 0,
+                witness: Vec::new(),
+                terminal_fingerprint: root_fp,
+                distinct_states: 1,
+                expansions: 1,
+                dominance_prunes: 0,
+                bound_prunes: 0,
+                terminal_hits: 0,
+                max_depth_seen: 0,
+            },
+            root_rem: 0,
         };
-        if cur.enabled_activations().is_empty() {
+        search.visited.insert(root_fp, Entry::OnPath);
+        if walk.ring.enabled_activations().is_empty() {
             // Quiescent start: the empty schedule is the only (and worst)
             // schedule.
-            worst.value = root_acc;
-            worst.terminal_hits = 1;
-            return Ok(worst);
+            search.worst.value = root_acc;
+            search.worst.terminal_hits = 1;
+            return Ok(search.worst);
         }
-
-        /// One live state on the DFS path — the explorer's frame plus
-        /// the entering step's gain and the running Bellman maximum over
-        /// the children solved so far.
-        struct Frame<B: Behavior> {
-            fp: u64,
-            /// Objective contribution of the activation that entered
-            /// this state (unused on the root frame).
-            gain: u64,
-            /// `max_a combine(gain(a), rem(child_a))` over the children
-            /// expanded so far — `rem` of this state once all are done.
-            best_rem: u64,
-            acts_start: usize,
-            next: usize,
-            undo: Option<(StepUndo<B>, SymbolPatch)>,
+        if let ControlFlow::Break(err) = walk.run(&mut search, root_fp, 0, Node::default(), None) {
+            return Err(err);
         }
-
-        let mut arena: Vec<Activation> = Vec::new();
-        arena.extend_from_slice(cur.enabled_activations());
-        let mut stack: Vec<Frame<B>> = vec![Frame {
-            fp: root_fp,
-            gain: 0,
-            best_rem: 0,
-            acts_start: 0,
-            next: 0,
-            undo: None,
-        }];
-        let mut root_rem = 0u64;
-
-        while let Some(top) = stack.last_mut() {
-            if top.acts_start + top.next >= arena.len() {
-                // All children solved: this state's remaining value is
-                // final. Record it and fold it into the parent.
-                let frame = stack.pop().expect("stack is non-empty");
-                *visited.get_mut(&frame.fp).expect("path state is visited") =
-                    Entry::Done(frame.best_rem);
-                arena.truncate(frame.acts_start);
-                if let Some((undo, patch)) = frame.undo {
-                    cache.revert(patch);
-                    cur.undo(undo);
-                    let parent = stack.last_mut().expect("non-root frames have parents");
-                    parent.best_rem =
-                        parent
-                            .best_rem
-                            .max(combine(objective, frame.gain, frame.best_rem));
-                } else {
-                    root_rem = frame.best_rem;
-                }
-                continue;
-            }
-            let act = arena[top.acts_start + top.next];
-            top.next += 1;
-            let depth = stack.len();
-            worst.max_depth_seen = worst.max_depth_seen.max(depth);
-            if depth > limits.max_depth {
-                return Err(AdversaryError::LimitExceeded(SimError::StepLimitExceeded {
-                    limit: limits.max_depth as u64,
-                }));
-            }
-            let undo = cur.apply(act);
-            let patch = cache.patch(&cur, &undo);
-            let fp = cache.fingerprint(&cur);
-            let gain = match objective {
-                Objective::TotalMoves => u64::from(undo.moved_to(cur.ring_size()).is_some()),
-                Objective::TotalActivations => 1,
-                // The acting agent's post-step memory observation: the
-                // only way the watermark can rise on this step. Fault
-                // moves have no acting agent and observe nothing.
-                Objective::PeakMemoryBits => {
-                    if act.is_fault() {
-                        0
-                    } else {
-                        cur.behavior(act.agent).memory_bits() as u64
-                    }
-                }
-            };
-            let terminal = cur.enabled_activations().is_empty();
-            let solved = match visited.entry(fp) {
-                std::collections::hash_map::Entry::Occupied(seen) => match *seen.get() {
-                    // Re-encountering a path state closes a concrete
-                    // cycle (Rotation mode: a quotient cycle, which
-                    // lifts to a concrete one — see crate::canonical).
-                    Entry::OnPath => return Err(AdversaryError::CycleDetected { depth }),
-                    // Memo hit: the subtree is already solved; fold its
-                    // exact remaining value in O(1).
-                    Entry::Done(rem) => {
-                        worst.dominance_prunes += 1;
-                        if terminal {
-                            worst.terminal_hits += 1;
-                        }
-                        Some(rem)
-                    }
-                },
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    if terminal {
-                        // Terminals are solved on sight: nothing remains.
-                        worst.distinct_states += 1;
-                        worst.expansions += 1;
-                        worst.terminal_hits += 1;
-                        slot.insert(Entry::Done(0));
-                        Some(0)
-                    } else if bound_prune
-                        && cur.max_remaining_moves().is_some_and(|ub| {
-                            let parent = stack.last().expect("child has a parent frame");
-                            // `best_rem > 0` certifies the bound was
-                            // *attained* by an already-memoised sibling
-                            // (it starts at 0 and only solved children
-                            // raise it); the witness descent relies on
-                            // that attainer existing when it skips this
-                            // never-memoised child.
-                            parent.best_rem > 0 && combine(objective, gain, ub) <= parent.best_rem
-                        })
-                    {
-                        // Admissible prune: even if every remaining move
-                        // the child's agents can make counts, the subtree
-                        // cannot beat a value a solved sibling already
-                        // achieves. The child is *not* entered into the
-                        // visited map — another path may still reach and
-                        // solve it exactly.
-                        worst.bound_prunes += 1;
-                        cache.revert(patch);
-                        cur.undo(undo);
-                        continue;
-                    } else {
-                        worst.distinct_states += 1;
-                        worst.expansions += 1;
-                        slot.insert(Entry::OnPath);
-                        None
-                    }
-                }
-            };
-            if worst.expansions > limits.max_states {
-                return Err(AdversaryError::LimitExceeded(SimError::StepLimitExceeded {
-                    limit: limits.max_states as u64,
-                }));
-            }
-            if let Some(rem) = solved {
-                cache.revert(patch);
-                cur.undo(undo);
-                let parent = stack.last_mut().expect("child has a parent frame");
-                parent.best_rem = parent.best_rem.max(combine(objective, gain, rem));
-                continue;
-            }
-            let acts_start = arena.len();
-            arena.extend_from_slice(cur.enabled_activations());
-            stack.push(Frame {
-                fp,
-                gain,
-                best_rem: 0,
-                acts_start,
-                next: 0,
-                undo: Some((undo, patch)),
-            });
-        }
+        let Search {
+            visited,
+            mut worst,
+            root_rem,
+            ..
+        } = search;
+        worst.max_depth_seen = walk.max_depth_seen;
         worst.value = combine(objective, root_acc, root_rem);
 
-        // Witness reconstruction: `cur` is back at the root (the final
+        // Witness reconstruction: the walk is back at the root (the final
         // pop undid every step), and every reachable state's remaining
         // value is memoised. Descend greedily along children attaining
         // the Bellman maximum; the path is an enabled-activation
         // sequence by construction, hence replayable.
+        let (cur, cache) = (&mut walk.ring, &mut walk.cache);
         let mut need = root_rem;
         loop {
             if cur.enabled_activations().is_empty() {
-                worst.terminal_fingerprint = cache.fingerprint(&cur);
+                worst.terminal_fingerprint = cache.fingerprint(cur);
                 break;
             }
             let acts: Vec<Activation> = cur.enabled_activations().to_vec();
             let mut advanced = false;
             for act in acts {
                 let undo = cur.apply(act);
-                let patch = cache.patch(&cur, &undo);
-                let fp = cache.fingerprint(&cur);
-                let gain = match objective {
-                    Objective::TotalMoves => u64::from(undo.moved_to(cur.ring_size()).is_some()),
-                    Objective::TotalActivations => 1,
-                    Objective::PeakMemoryBits => {
-                        if act.is_fault() {
-                            0
-                        } else {
-                            cur.behavior(act.agent).memory_bits() as u64
-                        }
-                    }
-                };
+                let patch = cache.patch(cur, &undo);
+                let fp = cache.fingerprint(cur);
+                let gain = gain(objective, act, &undo, cur);
                 // A child absent from the map was bound-pruned (never
                 // expanded): the prune certified a solved sibling
                 // attains at least its best possible contribution, so
@@ -576,6 +431,156 @@ impl Adversary {
             );
         }
         Ok(worst)
+    }
+}
+
+/// `gain(a, C)` of the module docs: the objective contribution of the
+/// step `undo` records (activation `act`, `ring` already in the child).
+fn gain<B: Behavior>(
+    objective: Objective,
+    act: Activation,
+    undo: &StepUndo<B>,
+    ring: &Ring<B>,
+) -> u64 {
+    match objective {
+        Objective::TotalMoves => u64::from(undo.moved_to(ring.ring_size()).is_some()),
+        Objective::TotalActivations => 1,
+        // The acting agent's post-step memory observation: the only way
+        // the watermark can rise on this step. Fault moves have no
+        // acting agent and observe nothing.
+        Objective::PeakMemoryBits => {
+            if act.is_fault() {
+                0
+            } else {
+                ring.behavior(act.agent).memory_bits() as u64
+            }
+        }
+    }
+}
+
+/// The payload of one live state on the search path.
+#[derive(Default)]
+struct Node {
+    /// Objective contribution of the activation that entered this state
+    /// (unused on the root).
+    gain: u64,
+    /// `max_a combine(gain(a), rem(child_a))` over the children solved
+    /// so far — `rem` of this state once all are done.
+    best_rem: u64,
+}
+
+/// The [`Visitor`] of [`Adversary::run`]: the remaining-value memo, the
+/// Bellman maximum and the admissible move-bound prune.
+struct Search {
+    objective: Objective,
+    max_states: usize,
+    bound_prune: bool,
+    visited: HashMap<u64, Entry, FpBuildHasher>,
+    worst: WorstCase,
+    /// `rem(C_0)`, set when the root is left.
+    root_rem: u64,
+}
+
+impl<B> Visitor<B> for Search
+where
+    B: Behavior + Clone + Hash,
+    B::Message: Clone + Hash,
+{
+    type Frame = Node;
+    type Break = AdversaryError;
+
+    fn exceeded(&mut self, limit: usize) -> AdversaryError {
+        AdversaryError::LimitExceeded(limit_exceeded(limit))
+    }
+
+    #[inline]
+    fn admit(
+        &mut self,
+        child: Child<'_, B>,
+        parent: &mut Node,
+    ) -> ControlFlow<AdversaryError, Option<Node>> {
+        let objective = self.objective;
+        let gain = gain(objective, child.act, child.undo, child.ring);
+        let terminal = child.ring.enabled_activations().is_empty();
+        let worst = &mut self.worst;
+        let solved = match self.visited.entry(child.fp) {
+            std::collections::hash_map::Entry::Occupied(seen) => match *seen.get() {
+                // Re-encountering a path state closes a concrete cycle
+                // (Rotation mode: a quotient cycle, which lifts to a
+                // concrete one — see crate::canonical).
+                Entry::OnPath => {
+                    return ControlFlow::Break(AdversaryError::CycleDetected { depth: child.depth })
+                }
+                // Memo hit: the subtree is already solved; fold its exact
+                // remaining value in O(1).
+                Entry::Done(rem) => {
+                    worst.dominance_prunes += 1;
+                    if terminal {
+                        worst.terminal_hits += 1;
+                    }
+                    Some(rem)
+                }
+            },
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                if terminal {
+                    // Terminals are solved on sight: nothing remains.
+                    worst.distinct_states += 1;
+                    worst.expansions += 1;
+                    worst.terminal_hits += 1;
+                    slot.insert(Entry::Done(0));
+                    Some(0)
+                } else if self.bound_prune
+                    && child.ring.max_remaining_moves().is_some_and(|ub| {
+                        // `best_rem > 0` certifies the bound was
+                        // *attained* by an already-memoised sibling (it
+                        // starts at 0 and only solved children raise it);
+                        // the witness descent relies on that attainer
+                        // existing when it skips this never-memoised
+                        // child.
+                        parent.best_rem > 0 && combine(objective, gain, ub) <= parent.best_rem
+                    })
+                {
+                    // Admissible prune: even if every remaining move the
+                    // child's agents can make counts, the subtree cannot
+                    // beat a value a solved sibling already achieves. The
+                    // child is *not* entered into the visited map —
+                    // another path may still reach and solve it exactly.
+                    worst.bound_prunes += 1;
+                    return ControlFlow::Continue(None);
+                } else {
+                    worst.distinct_states += 1;
+                    worst.expansions += 1;
+                    slot.insert(Entry::OnPath);
+                    None
+                }
+            }
+        };
+        if worst.expansions > self.max_states {
+            let limit = limit_exceeded(self.max_states);
+            return ControlFlow::Break(AdversaryError::LimitExceeded(limit));
+        }
+        match solved {
+            Some(rem) => {
+                parent.best_rem = parent.best_rem.max(combine(objective, gain, rem));
+                ControlFlow::Continue(None)
+            }
+            None => ControlFlow::Continue(Some(Node { gain, best_rem: 0 })),
+        }
+    }
+
+    /// All children solved: the state's remaining value is final. Record
+    /// it and fold it into the parent.
+    fn leave(&mut self, fp: u64, node: Node, parent: Option<&mut Node>) {
+        self.visited.insert(fp, Entry::Done(node.best_rem));
+        match parent {
+            Some(parent) => {
+                parent.best_rem =
+                    parent
+                        .best_rem
+                        .max(combine(self.objective, node.gain, node.best_rem));
+            }
+            None => self.root_rem = node.best_rem,
+        }
     }
 }
 

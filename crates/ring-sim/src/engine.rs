@@ -1,5 +1,12 @@
 //! The execution engine: applies atomic actions under a schedule until
 //! quiescence.
+//!
+//! One private transition function executes the model's atomic action:
+//! an agent receives, computes, then moves or stays. [`Ring::step`] and
+//! [`Ring::apply`] are its two entry points, differing only in a recorder
+//! type parameter. `step` keeps nothing (no record, no behavior clone)
+//! and may trace; `apply` keeps a [`StepUndo`] from which [`Ring::undo`]
+//! restores the ring bit-exactly, and refuses to trace.
 
 use std::collections::VecDeque;
 
@@ -449,6 +456,46 @@ impl<B: Behavior> StepUndo<B> {
     /// size, which the record does not carry), `None` if it stayed.
     pub fn moved_to(&self, n: usize) -> Option<NodeId> {
         self.moved.then(|| self.node.next(n))
+    }
+}
+
+/// What a transition keeps for [`Ring::undo`] — the one difference
+/// between [`Ring::step`] and [`Ring::apply`].
+trait Recorder<B: Behavior> {
+    /// What the transition returns.
+    type Record;
+    /// Whether broadcast receivers are listed in the record.
+    const RECEIVERS: bool;
+    /// The acting agent's pre-step behavior, if kept.
+    fn keep(behavior: &B) -> Option<B>;
+    /// The record, built by `make` only if it is kept.
+    fn record(make: impl FnOnce() -> StepUndo<B>) -> Self::Record;
+}
+
+/// [`Ring::step`]'s recorder: nothing to undo, so no record, no behavior
+/// clone and no receiver list.
+struct Forget;
+
+impl<B: Behavior> Recorder<B> for Forget {
+    type Record = ();
+    const RECEIVERS: bool = false;
+    fn keep(_: &B) -> Option<B> {
+        None
+    }
+    fn record(_: impl FnOnce() -> StepUndo<B>) {}
+}
+
+/// [`Ring::apply`]'s recorder: everything [`Ring::undo`] needs.
+struct Keep;
+
+impl<B: Behavior + Clone> Recorder<B> for Keep {
+    type Record = StepUndo<B>;
+    const RECEIVERS: bool = true;
+    fn keep(behavior: &B) -> Option<B> {
+        Some(behavior.clone())
+    }
+    fn record(make: impl FnOnce() -> StepUndo<B>) -> StepUndo<B> {
+        make()
     }
 }
 
@@ -978,32 +1025,101 @@ impl<B: Behavior> Ring<B> {
     /// if a behavior releases a token twice (protocol bug worth failing
     /// loudly on).
     pub fn step(&mut self, activation: Activation) {
-        // Edge-fault moves mutate link availability, not agents.
+        self.transition::<Forget>(activation);
+    }
+
+    /// Executes one atomic action exactly like [`Ring::step`], but returns
+    /// a [`StepUndo`] record from which [`Ring::undo`] restores the ring
+    /// **bit-exactly** — configuration, enabled set, behavior states,
+    /// metrics, phase tallies and step counter all included.
+    ///
+    /// Only the cells the action actually mutated are recorded (the popped
+    /// link head, the drained inbox, broadcast deltas, idle transitions,
+    /// enabled-set edits, metrics/phase deltas), so an `apply`/`undo` pair
+    /// costs `O(touched)` — a handful of words plus one behavior clone —
+    /// instead of an `O(n + k)` deep clone per child expansion.
+    ///
+    /// Undo records must be consumed in **LIFO order**: `undo` assumes the
+    /// ring is in exactly the state the matching `apply` left it in (the
+    /// explorer's depth-first discipline guarantees this).
+    ///
+    /// # Panics
+    ///
+    /// As [`Ring::step`]; additionally panics if tracing is enabled —
+    /// trace buffers are capacity-bounded and lossy, so trace events
+    /// cannot be rolled back (the explorer always expands traceless, per
+    /// the exploration contract).
+    pub fn apply(&mut self, activation: Activation) -> StepUndo<B>
+    where
+        B: Clone,
+    {
+        assert!(
+            self.trace.is_none(),
+            "apply requires tracing disabled: the bounded trace buffer is lossy and cannot be \
+             rolled back"
+        );
+        self.transition::<Keep>(activation)
+    }
+
+    /// The one atomic action behind both [`Ring::step`] and
+    /// [`Ring::apply`]: receive, compute, then move or stay. The recorder
+    /// `R` decides what is kept: `step`'s keeps nothing (no record, no
+    /// behavior clone, no receiver list), `apply`'s returns the full
+    /// [`StepUndo`]. Trace events are pushed whenever tracing is on,
+    /// which only `step` allows.
+    fn transition<R: Recorder<B>>(&mut self, activation: Activation) -> R::Record {
+        assert!(
+            self.enabled
+                .contains(self.enabled_key_of(activation), activation),
+            "activation {activation:?} is not enabled"
+        );
+        // The record of a step that changed nothing but the given cells;
+        // each exit below overrides what its path changed. Only `apply`'s
+        // recorder ever builds it.
+        let prev_peak_memory_bits = self.metrics.peak_memory_bits();
+        let blank = |node, prev_place, prev_idle| StepUndo {
+            activation,
+            node,
+            prev_behavior: None,
+            prev_place,
+            prev_idle,
+            released_token: false,
+            drained: Vec::new(),
+            receivers: Vec::new(),
+            left_staying_pos: None,
+            moved: false,
+            displaced: None,
+            successor_enabled: None,
+            re_enabled: false,
+            prev_peak_memory_bits,
+            phase: "",
+            phase_new: false,
+            crashed: false,
+            prev_down_edge: None,
+        };
+        // Edge-fault moves mutate link availability, not agents: the
+        // record carries only the toggled edge and the previous down
+        // state.
         if activation.is_fault() {
-            assert!(
-                self.enabled
-                    .contains(self.enabled_key_of(activation), activation),
-                "fault move {activation:?} is not enabled"
-            );
-            self.edge_fault_finish(activation);
-            return;
+            let (node, prev_down_edge) = self.edge_fault_finish(activation);
+            return R::record(|| StepUndo {
+                prev_down_edge,
+                ..blank(node, Place::Staying { at: node }, Idle::Ready)
+            });
         }
         let id = activation.agent;
         let idx = id.index();
 
         // 0. Consume the activation from the enabled set; the arms below
         // re-insert whatever the mutations re-enable.
-        assert!(
-            self.enabled
-                .contains(self.enabled_key_of(activation), activation),
-            "activation of {id} (arrival: {}) is not enabled",
-            activation.arrival
-        );
         self.enabled_remove_agent(id);
+        let prev_place = meta_place(self.meta[idx]);
+        let prev_idle = meta_idle(self.meta[idx]);
 
         // 1. Resolve the node and (for arrivals) complete the move.
+        let mut successor_enabled = None;
         let node = if activation.arrival {
-            let to = match meta_place(self.meta[idx]) {
+            let to = match prev_place {
                 Place::InTransit { to } => to,
                 Place::Staying { .. } => panic!("arrival activation for staying agent {id}"),
             };
@@ -1017,13 +1133,14 @@ impl<B: Behavior> Ring<B> {
             // Link pop: the next queued agent (if any) becomes the head
             // and may now arrive.
             if let Some(&new_head) = q.front() {
+                successor_enabled = Some(new_head);
                 self.enabled
                     .insert(to.index(), Activation::arrival(new_head));
             }
             self.sync_down_candidate(to.index());
             to
         } else {
-            match meta_place(self.meta[idx]) {
+            match prev_place {
                 Place::Staying { at } => at,
                 Place::InTransit { .. } => panic!("wake activation for in-transit agent {id}"),
             }
@@ -1032,8 +1149,17 @@ impl<B: Behavior> Ring<B> {
         // 1b. A planned crash-stop consumes the activation: no
         // computation, the held token drops where the agent died, its
         // pending messages become dead letters, and it never acts again.
+        // No phase or metric activation bookkeeping.
         if self.crash_due(id) {
-            self.crash_finish(activation, node);
+            let (drained, left_staying_pos, released_token) = self.crash_finish(activation, node);
+            let crashed = R::record(|| StepUndo {
+                drained,
+                left_staying_pos,
+                released_token,
+                successor_enabled,
+                crashed: true,
+                ..blank(node, prev_place, prev_idle)
+            });
             if let Some(trace) = &mut self.trace {
                 trace.push(Event::Stayed {
                     agent: id,
@@ -1041,12 +1167,13 @@ impl<B: Behavior> Ring<B> {
                     idle: Idle::Halted,
                 });
             }
-            return;
+            return crashed;
         }
         self.acted[idx] += 1;
+        let prev_behavior = R::keep(&self.behaviors[idx]);
 
         // 2. Consume all pending messages.
-        let messages: Vec<B::Message> = self.inboxes[idx].drain(..).collect();
+        let drained: Vec<B::Message> = self.inboxes[idx].drain(..).collect();
 
         // 3. Local computation.
         let staying_others = self.staying[node.index()]
@@ -1056,7 +1183,7 @@ impl<B: Behavior> Ring<B> {
         let obs = Observation {
             tokens: self.tokens[node.index()],
             staying_agents: staying_others,
-            messages: &messages,
+            messages: &drained,
             arrived: activation.arrival,
         };
         let action: Action<B::Message> = self.behaviors[idx].act(&obs);
@@ -1065,8 +1192,10 @@ impl<B: Behavior> Ring<B> {
         self.metrics
             .observe_memory(self.behaviors[idx].memory_bits());
         let phase = self.behaviors[idx].phase_name();
-        let tally = match self.phases.iter_mut().find(|t| t.name == phase) {
-            Some(tally) => tally,
+        let phase_pos = self.phases.iter().position(|t| t.name == phase);
+
+        let tally = match phase_pos {
+            Some(i) => &mut self.phases[i],
             None => {
                 self.phases.push(PhaseTally {
                     name: phase,
@@ -1085,8 +1214,8 @@ impl<B: Behavior> Ring<B> {
                 agent: id,
                 node,
                 arrived: activation.arrival,
-                messages: messages.len(),
-                phase: self.behaviors[idx].phase_name(),
+                messages: drained.len(),
+                phase,
             });
         }
 
@@ -1105,6 +1234,7 @@ impl<B: Behavior> Ring<B> {
         }
 
         // 4b. Broadcast to agents staying at the node (excluding self).
+        let mut delivered = Vec::new();
         if let Some(msg) = action.broadcast {
             let mut receivers = 0usize;
             // Split borrows: collect receiver ids first.
@@ -1120,8 +1250,12 @@ impl<B: Behavior> Ring<B> {
                 let was_empty = self.inboxes[a.index()].is_empty();
                 self.inboxes[a.index()].push_back(msg.clone());
                 receivers += 1;
-                if was_empty && meta_idle(self.meta[a.index()]) == Idle::Suspended {
+                let enables = was_empty && meta_idle(self.meta[a.index()]) == Idle::Suspended;
+                if enables {
                     self.enabled.insert(self.n + a.index(), Activation::wake(a));
+                }
+                if R::RECEIVERS {
+                    delivered.push((a, enables));
                 }
             }
             self.metrics.record_broadcast(receivers);
@@ -1135,31 +1269,37 @@ impl<B: Behavior> Ring<B> {
         }
 
         // 5. Move or stay.
+        let mut left_staying_pos = None;
+        let mut displaced = None;
+        let mut re_enabled = false;
         match action.next {
             Next::Move => {
                 if !activation.arrival {
                     // Leaving a node it was staying at.
                     let p = &mut self.staying[node.index()];
-                    if let Some(pos) = p.iter().position(|&a| a == id) {
-                        p.remove(pos);
-                    }
+                    let pos = p
+                        .iter()
+                        .position(|&a| a == id)
+                        .expect("staying agent is a member of its node's staying set");
+                    p.remove(pos);
+                    left_staying_pos = Some(pos);
                 }
                 let dest = node.next(self.n);
                 // While the destination edge is down, no head is enabled
                 // there — the mover queues up silently until Restore.
                 let dest_down = self.down_edge == Some(dest);
+                let q = &mut self.links[dest.index()];
                 match self.discipline {
                     LinkDiscipline::Fifo => {
-                        let q = &mut self.links[dest.index()];
                         q.push_back(id);
                         // Link push (FIFO): only a push onto an empty queue
                         // creates a new head.
                         if q.len() == 1 && !dest_down {
+                            re_enabled = true;
                             self.enabled.insert(dest.index(), Activation::arrival(id));
                         }
                     }
                     LinkDiscipline::Lifo => {
-                        let q = &mut self.links[dest.index()];
                         q.push_front(id);
                         // Link push (LIFO ablation): the mover overtakes;
                         // the displaced head (if any) is no longer enabled.
@@ -1169,9 +1309,11 @@ impl<B: Behavior> Ring<B> {
                             // The displaced head's arrival shares the
                             // mover's key (both are keyed by `dest`), so
                             // remove+insert reuses the hole in place.
-                            if q.get(1).is_some() {
+                            displaced = q.get(1).copied();
+                            if displaced.is_some() {
                                 self.enabled.remove(dest.index());
                             }
+                            re_enabled = true;
                             self.enabled.insert(dest.index(), Activation::arrival(id));
                         }
                     }
@@ -1205,6 +1347,7 @@ impl<B: Behavior> Ring<B> {
                     Idle::Halted => false,
                 };
                 if wake {
+                    re_enabled = true;
                     self.enabled.insert(self.n + idx, Activation::wake(id));
                 }
                 if let Some(trace) = &mut self.trace {
@@ -1217,295 +1360,20 @@ impl<B: Behavior> Ring<B> {
             }
         }
         self.enabled.flush();
-    }
-
-    /// Executes one atomic action exactly like [`Ring::step`], but returns
-    /// a [`StepUndo`] record from which [`Ring::undo`] restores the ring
-    /// **bit-exactly** — configuration, enabled set, behavior states,
-    /// metrics, phase tallies and step counter all included.
-    ///
-    /// Only the cells the action actually mutated are recorded (the popped
-    /// link head, the drained inbox, broadcast deltas, idle transitions,
-    /// enabled-set edits, metrics/phase deltas), so an `apply`/`undo` pair
-    /// costs `O(touched)` — a handful of words plus one behavior clone —
-    /// instead of the `O(n + k)` deep clone the exhaustive explorer used
-    /// to pay per child expansion.
-    ///
-    /// Undo records must be consumed in **LIFO order**: `undo` assumes the
-    /// ring is in exactly the state the matching `apply` left it in (the
-    /// explorer's depth-first discipline guarantees this).
-    ///
-    /// # Panics
-    ///
-    /// As [`Ring::step`]; additionally panics if tracing is enabled —
-    /// trace buffers are capacity-bounded and lossy, so trace events
-    /// cannot be rolled back (the explorer always expands traceless, per
-    /// the exploration contract).
-    pub fn apply(&mut self, activation: Activation) -> StepUndo<B>
-    where
-        B: Clone,
-    {
-        assert!(
-            self.trace.is_none(),
-            "apply requires tracing disabled: the bounded trace buffer is lossy and cannot be \
-             rolled back"
-        );
-        // Edge-fault moves: no agent acts; the record carries only the
-        // toggled edge and the previous down state.
-        if activation.is_fault() {
-            assert!(
-                self.enabled
-                    .contains(self.enabled_key_of(activation), activation),
-                "fault move {activation:?} is not enabled"
-            );
-            let prev_peak_memory_bits = self.metrics.peak_memory_bits();
-            let (node, prev_down_edge) = self.edge_fault_finish(activation);
-            return StepUndo {
-                activation,
-                node,
-                prev_behavior: None,
-                prev_place: Place::Staying { at: node },
-                prev_idle: Idle::Ready,
-                released_token: false,
-                drained: Vec::new(),
-                receivers: Vec::new(),
-                left_staying_pos: None,
-                moved: false,
-                displaced: None,
-                successor_enabled: None,
-                re_enabled: false,
-                prev_peak_memory_bits,
-                phase: "",
-                phase_new: false,
-                crashed: false,
-                prev_down_edge,
-            };
-        }
-        let id = activation.agent;
-        let idx = id.index();
-
-        assert!(
-            self.enabled
-                .contains(self.enabled_key_of(activation), activation),
-            "activation of {id} (arrival: {}) is not enabled",
-            activation.arrival
-        );
-        self.enabled_remove_agent(id);
-
-        let prev_place = meta_place(self.meta[idx]);
-        let prev_idle = meta_idle(self.meta[idx]);
-        let prev_peak_memory_bits = self.metrics.peak_memory_bits();
-
-        // 1. Resolve the node and (for arrivals) complete the move.
-        let mut successor_enabled = None;
-        let node = if activation.arrival {
-            let to = match prev_place {
-                Place::InTransit { to } => to,
-                Place::Staying { .. } => panic!("arrival activation for staying agent {id}"),
-            };
-            let q = &mut self.links[to.index()];
-            assert_eq!(
-                q.front().copied(),
-                Some(id),
-                "agent {id} must be at the head of its link queue (FIFO)"
-            );
-            q.pop_front();
-            if let Some(&new_head) = q.front() {
-                successor_enabled = Some(new_head);
-                self.enabled
-                    .insert(to.index(), Activation::arrival(new_head));
-            }
-            self.sync_down_candidate(to.index());
-            to
-        } else {
-            match prev_place {
-                Place::Staying { at } => at,
-                Place::InTransit { .. } => panic!("wake activation for in-transit agent {id}"),
-            }
-        };
-
-        // 1b. A planned crash-stop: the activation is consumed, no
-        // computation runs, no phase/metric activation bookkeeping.
-        if self.crash_due(id) {
-            let (drained, left_staying_pos, released_token) = self.crash_finish(activation, node);
-            return StepUndo {
-                activation,
-                node,
-                prev_behavior: None,
-                prev_place,
-                prev_idle,
-                released_token,
-                drained,
-                receivers: Vec::new(),
-                left_staying_pos,
-                moved: false,
-                displaced: None,
-                successor_enabled,
-                re_enabled: false,
-                prev_peak_memory_bits,
-                phase: "",
-                phase_new: false,
-                crashed: true,
-                prev_down_edge: None,
-            };
-        }
-        self.acted[idx] += 1;
-        let prev_behavior = self.behaviors[idx].clone();
-
-        // 2. Consume all pending messages (kept for the undo record).
-        let drained: Vec<B::Message> = self.inboxes[idx].drain(..).collect();
-
-        // 3. Local computation — bookkeeping mirrors `step` op for op.
-        let staying_others = self.staying[node.index()]
-            .iter()
-            .filter(|&&a| a != id)
-            .count();
-        let obs = Observation {
-            tokens: self.tokens[node.index()],
-            staying_agents: staying_others,
-            messages: &drained,
-            arrived: activation.arrival,
-        };
-        let action: Action<B::Message> = self.behaviors[idx].act(&obs);
-        self.steps += 1;
-        self.metrics.record_activation(id);
-        self.metrics
-            .observe_memory(self.behaviors[idx].memory_bits());
-        let phase = self.behaviors[idx].phase_name();
-        let phase_pos = self.phases.iter().position(|t| t.name == phase);
-        let phase_new = phase_pos.is_none();
-        let tally = match phase_pos {
-            Some(i) => &mut self.phases[i],
-            None => {
-                self.phases.push(PhaseTally {
-                    name: phase,
-                    activations: 0,
-                    moves: 0,
-                });
-                self.phases.last_mut().expect("just pushed")
-            }
-        };
-        tally.activations += 1;
-        if action.next == Next::Move {
-            tally.moves += 1;
-        }
-
-        // 4a. Token release.
-        let released_token = action.release_token;
-        if released_token {
-            assert!(
-                self.meta[idx] & TOKEN_HELD != 0,
-                "agent {id} released its token twice"
-            );
-            self.set_token_held(idx, false);
-            self.tokens[node.index()] += 1;
-            self.metrics.record_token_release();
-        }
-
-        // 4b. Broadcast to agents staying at the node (excluding self).
-        let mut receivers: Vec<(AgentId, bool)> = Vec::new();
-        if let Some(msg) = action.broadcast {
-            let targets: Vec<AgentId> = self.staying[node.index()]
-                .iter()
-                .copied()
-                .filter(|&a| a != id)
-                .collect();
-            for a in targets {
-                let was_empty = self.inboxes[a.index()].is_empty();
-                self.inboxes[a.index()].push_back(msg.clone());
-                let enables = was_empty && meta_idle(self.meta[a.index()]) == Idle::Suspended;
-                if enables {
-                    self.enabled.insert(self.n + a.index(), Activation::wake(a));
-                }
-                receivers.push((a, enables));
-            }
-            self.metrics.record_broadcast(receivers.len());
-        }
-
-        // 5. Move or stay.
-        let mut left_staying_pos = None;
-        let mut displaced = None;
-        let mut re_enabled = false;
-        let moved = action.next == Next::Move;
-        match action.next {
-            Next::Move => {
-                if !activation.arrival {
-                    let p = &mut self.staying[node.index()];
-                    let pos = p
-                        .iter()
-                        .position(|&a| a == id)
-                        .expect("staying agent is a member of its node's staying set");
-                    p.remove(pos);
-                    left_staying_pos = Some(pos);
-                }
-                let dest = node.next(self.n);
-                let dest_down = self.down_edge == Some(dest);
-                match self.discipline {
-                    LinkDiscipline::Fifo => {
-                        let q = &mut self.links[dest.index()];
-                        q.push_back(id);
-                        if q.len() == 1 && !dest_down {
-                            re_enabled = true;
-                            self.enabled.insert(dest.index(), Activation::arrival(id));
-                        }
-                    }
-                    LinkDiscipline::Lifo => {
-                        let q = &mut self.links[dest.index()];
-                        q.push_front(id);
-                        if !dest_down {
-                            displaced = q.get(1).copied();
-                            if displaced.is_some() {
-                                self.enabled.remove(dest.index());
-                            }
-                            re_enabled = true;
-                            self.enabled.insert(dest.index(), Activation::arrival(id));
-                        }
-                    }
-                }
-                self.sync_down_candidate(dest.index());
-                self.set_place(idx, Place::InTransit { to: dest });
-                self.set_idle(idx, Idle::Ready);
-                self.metrics.record_move(id);
-            }
-            Next::Stay(idle) => {
-                if activation.arrival {
-                    self.staying[node.index()].push(id);
-                }
-                self.set_place(idx, Place::Staying { at: node });
-                self.set_idle(idx, idle);
-                let wake = match idle {
-                    Idle::Ready => true,
-                    Idle::Suspended => !self.inboxes[idx].is_empty(),
-                    Idle::Halted => false,
-                };
-                if wake {
-                    re_enabled = true;
-                    self.enabled.insert(self.n + idx, Activation::wake(id));
-                }
-            }
-        }
-        self.enabled.flush();
-
-        StepUndo {
-            activation,
-            node,
-            prev_behavior: Some(prev_behavior),
-            prev_place,
-            prev_idle,
-            released_token,
+        R::record(|| StepUndo {
+            prev_behavior,
+            released_token: action.release_token,
             drained,
-            receivers,
+            receivers: delivered,
             left_staying_pos,
-            moved,
+            moved: action.next == Next::Move,
             displaced,
             successor_enabled,
             re_enabled,
-            prev_peak_memory_bits,
             phase,
-            phase_new,
-            crashed: false,
-            prev_down_edge: None,
-        }
+            phase_new: phase_pos.is_none(),
+            ..blank(node, prev_place, prev_idle)
+        })
     }
 
     /// Reverses the action recorded in `undo`, restoring the ring to the

@@ -35,19 +35,24 @@
 //!   [`crate::canonical`] for the canonical form and the soundness
 //!   argument; it requires the terminal predicate to be
 //!   rotation-invariant (the Definition 1/2 predicates are).
-//! * **reversible, clone-free expansion**: children are generated with
-//!   [`Ring::apply`]/[`Ring::undo`] — an exactly-invertible step that
-//!   records only the mutated cells — so the serial engine walks the
-//!   whole space in one live ring (no per-child deep clone), canonical
-//!   fingerprints are maintained incrementally (only the ≤ 2 symbols a
-//!   step touches are re-derived; the min-rotation is recomputed on the
-//!   patched vector). The pre-0.5 clone-based DFS is retained verbatim
-//!   as [`Explorer::run_serial_reference`], the differential oracle.
+//! * **one reversible walk kernel**: every search in this crate — the
+//!   serial engine, each work-stealing task and the worst-case search
+//!   of [`crate::adversary`] — is a visitor of one in-place DFS over one
+//!   live ring. Children are generated with [`Ring::apply`]/[`Ring::undo`]
+//!   — an exactly-invertible step that records only the mutated cells,
+//!   so there is no per-child deep clone; canonical fingerprints are
+//!   maintained incrementally (only the ≤ 2 symbols a step touches are
+//!   re-derived; the min-rotation is recomputed on the patched vector);
+//!   and all live states share one activation arena. The kernel runs
+//!   admit → expand → undo; the visitor decides per child whether to
+//!   expand it, fold it or stop. The pre-0.5 clone-based DFS is retained
+//!   verbatim as [`Explorer::run_serial_reference`], the differential
+//!   oracle.
 //! * **work-stealing parallel search** ([`Explorer::threads`]): every
-//!   worker runs the same clone-free DFS on a private scratch ring and
-//!   donates untried sibling activations to a shared injector queue when
-//!   it runs low — each donated child travels as a delta-encoded steal
-//!   handoff (one `Arc`-shared
+//!   worker walks its tasks with the same kernel on a private scratch
+//!   ring and donates untried sibling activations to a shared injector
+//!   queue when it runs low — each donated child travels as a
+//!   delta-encoded steal handoff (one `Arc`-shared
 //!   [`PackedState`](crate::packed::PackedState) parent snapshot plus
 //!   the `Copy` activation that produces the child). The visited set is
 //!   a striped (64-shard, fingerprint-keyed) concurrent map; each
@@ -62,8 +67,13 @@
 //! certifies acyclicity with a Kahn elimination after the sweep
 //! ([`Explorer::certify_termination`] turns this off to save the edge
 //! memory on very large sweeps — at the cost of the termination half of
-//! the proof). Multi-worker runs may differ from the serial engines on
-//! the scheduling-dependent diagnostics
+//! the proof). [`Explorer::run_serial`] stays next to the stealing
+//! engine because the daemon caches its reports: their
+//! [`max_depth_seen`](ExploreReport::max_depth_seen) and
+//! [`peak_frontier`](ExploreReport::peak_frontier) are DFS-path values,
+//! while even a one-worker stealing run reports the peak count of
+//! outstanding steal tasks as its frontier. Multi-worker runs may differ
+//! from the serial engines on the scheduling-dependent diagnostics
 //! ([`max_depth_seen`](ExploreReport::max_depth_seen),
 //! [`peak_frontier`](ExploreReport::peak_frontier)) and on *which* error
 //! they report when several exist; with one worker the whole report is
@@ -76,6 +86,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -647,6 +658,214 @@ impl FingerprintCache {
     }
 }
 
+/// A child the [`Walk`] just generated: the live ring is in the child's
+/// state, one [`Ring::apply`] below its parent.
+pub(crate) struct Child<'a, B: Behavior> {
+    pub(crate) ring: &'a Ring<B>,
+    pub(crate) act: Activation,
+    pub(crate) undo: &'a StepUndo<B>,
+    pub(crate) fp: u64,
+    /// Schedule depth of the child.
+    pub(crate) depth: usize,
+    /// Fingerprint of the state the child was generated from.
+    pub(crate) parent_fp: u64,
+}
+
+/// The bookkeeping one search keeps on top of the [`Walk`] kernel: the
+/// serial explorer's path map and report, a steal task's shared visited
+/// map, edge log and donations, the adversary's Bellman values.
+pub(crate) trait Visitor<B: Behavior> {
+    /// The payload each live state on the DFS path carries.
+    type Frame;
+    /// Why a walk stops early.
+    type Break;
+
+    /// Runs before the next child of the deepest live state (fingerprint
+    /// `fp`, schedule depth `depth`) is generated. Returns how many of
+    /// its `untried` activations, taken from the end, were handed
+    /// elsewhere; the walk drops them.
+    fn before_child(
+        &mut self,
+        _ring: &Ring<B>,
+        _fp: u64,
+        _depth: usize,
+        _frame: &mut Self::Frame,
+        _untried: &[Activation],
+    ) -> ControlFlow<Self::Break, usize> {
+        ControlFlow::Continue(0)
+    }
+
+    /// The error that stops the walk when `limit` (the depth limit, or
+    /// the visitor's own state limit) is exceeded.
+    fn exceeded(&mut self, limit: usize) -> Self::Break;
+
+    /// Decides a generated child: `Some(frame)` expands it, `None` folds
+    /// it (the walk undoes the step).
+    fn admit(
+        &mut self,
+        child: Child<'_, B>,
+        parent: &mut Self::Frame,
+    ) -> ControlFlow<Self::Break, Option<Self::Frame>>;
+
+    /// Runs once every child of a state is done, after the walk has
+    /// returned the ring to the state's parent (`None`: the walk's root).
+    fn leave(&mut self, _fp: u64, _frame: Self::Frame, _parent: Option<&mut Self::Frame>) {}
+}
+
+/// One live state on the walk's DFS path: its fingerprint, its slice of
+/// the shared activation arena, the undo record that returns the ring to
+/// its parent, and the visitor's payload.
+struct Frame<B: Behavior, X> {
+    fp: u64,
+    acts_start: usize,
+    next: usize,
+    undo: Option<(StepUndo<B>, SymbolPatch)>,
+    data: X,
+}
+
+/// The one in-place DFS over the reversible engine. It owns the live
+/// ring, its [`FingerprintCache`], the activation arena (the enabled
+/// slices of all live states, truncated on frame pop — no per-state
+/// allocation in steady state) and the frame stack, enforces the depth
+/// limit, and runs the admit → expand → undo loop for every search: the
+/// serial explorer, each work-stealing task and the adversary are
+/// [`Visitor`]s of it.
+pub(crate) struct Walk<B: Behavior, X> {
+    pub(crate) ring: Ring<B>,
+    pub(crate) cache: FingerprintCache,
+    arena: Vec<Activation>,
+    stack: Vec<Frame<B, X>>,
+    max_depth: usize,
+    /// Deepest schedule depth attempted, over every run of this walk.
+    pub(crate) max_depth_seen: usize,
+}
+
+impl<B, X> Walk<B, X>
+where
+    B: Behavior + Clone + Hash,
+    B::Message: Clone + Hash,
+{
+    /// A walk over a traceless copy of `ring`.
+    pub(crate) fn new(ring: &Ring<B>, symmetry: SymmetryMode, max_depth: usize) -> Self {
+        let ring = ring.clone_for_exploration();
+        let cache = FingerprintCache::new(symmetry, &ring);
+        Walk {
+            ring,
+            cache,
+            arena: Vec::new(),
+            stack: Vec::new(),
+            max_depth,
+            max_depth_seen: 0,
+        }
+    }
+
+    /// Walks depth-first from the ring's current state — fingerprint
+    /// `fp`, schedule depth `depth`, payload `data` — through `only` if
+    /// given, else through every enabled activation. On `Continue` the
+    /// ring is back at the root; on `Break` it stays where the visitor
+    /// stopped (the child itself when `admit` broke).
+    pub(crate) fn run<V>(
+        &mut self,
+        visitor: &mut V,
+        fp: u64,
+        depth: usize,
+        data: X,
+        only: Option<Activation>,
+    ) -> ControlFlow<V::Break>
+    where
+        V: Visitor<B, Frame = X>,
+    {
+        self.arena.clear();
+        self.stack.clear();
+        match only {
+            Some(act) => self.arena.push(act),
+            None => self
+                .arena
+                .extend_from_slice(self.ring.enabled_activations()),
+        }
+        self.stack.push(Frame {
+            fp,
+            acts_start: 0,
+            next: 0,
+            undo: None,
+            data,
+        });
+        loop {
+            // Schedule depth of the next child of the deepest live state.
+            let child_depth = depth + self.stack.len();
+            let Some(top) = self.stack.last_mut() else {
+                return ControlFlow::Continue(());
+            };
+            let untried = &self.arena[top.acts_start + top.next..];
+            if untried.is_empty() {
+                // All children done: return to the parent state.
+                let frame = self.stack.pop().expect("stack is non-empty");
+                self.arena.truncate(frame.acts_start);
+                if let Some((undo, patch)) = frame.undo {
+                    self.cache.revert(patch);
+                    self.ring.undo(undo);
+                }
+                let parent = self.stack.last_mut().map(|f| &mut f.data);
+                visitor.leave(frame.fp, frame.data, parent);
+                continue;
+            }
+            let handed = visitor.before_child(
+                &self.ring,
+                top.fp,
+                child_depth - 1,
+                &mut top.data,
+                untried,
+            )?;
+            if handed > 0 {
+                self.arena.truncate(self.arena.len() - handed);
+                continue;
+            }
+            let act = untried[0];
+            top.next += 1;
+            self.max_depth_seen = self.max_depth_seen.max(child_depth);
+            if child_depth > self.max_depth {
+                return ControlFlow::Break(visitor.exceeded(self.max_depth));
+            }
+            let undo = self.ring.apply(act);
+            let patch = self.cache.patch(&self.ring, &undo);
+            let child_fp = self.cache.fingerprint(&self.ring);
+            let child = Child {
+                ring: &self.ring,
+                act,
+                undo: &undo,
+                fp: child_fp,
+                depth: child_depth,
+                parent_fp: top.fp,
+            };
+            match visitor.admit(child, &mut top.data)? {
+                Some(data) => {
+                    let acts_start = self.arena.len();
+                    self.arena
+                        .extend_from_slice(self.ring.enabled_activations());
+                    self.stack.push(Frame {
+                        fp: child_fp,
+                        acts_start,
+                        next: 0,
+                        undo: Some((undo, patch)),
+                        data,
+                    });
+                }
+                None => {
+                    self.cache.revert(patch);
+                    self.ring.undo(undo);
+                }
+            }
+        }
+    }
+}
+
+/// The limit error every search reports.
+pub(crate) fn limit_exceeded(limit: usize) -> SimError {
+    SimError::StepLimitExceeded {
+        limit: limit as u64,
+    }
+}
+
 /// Number of mutex-guarded partitions of the parallel visited map. A
 /// power of two well above any realistic worker count, so contention is
 /// dominated by the hash distribution, not the shard count.
@@ -786,14 +1005,15 @@ impl Explorer {
     }
 
     /// The serial engine: a **clone-free, in-place DFS** over one live
-    /// ring. Children are generated with the reversible
-    /// [`Ring::apply`]/[`Ring::undo`] pair instead of deep-cloning the
-    /// parent per successor, and under [`SymmetryMode::Rotation`] the
-    /// canonical fingerprint is computed from a cached symbol vector
-    /// patched at the ≤ 2 nodes a step touches (the min-rotation is then
-    /// recomputed on the patched vector) instead of re-deriving all `n` symbols
-    /// per state. The only clone left in the hot path is the violation
-    /// capture when a terminal fails the predicate.
+    /// ring — the [`Walk`] kernel with the serial visitor. Children are
+    /// generated with the reversible [`Ring::apply`]/[`Ring::undo`] pair
+    /// instead of deep-cloning the parent per successor, and under
+    /// [`SymmetryMode::Rotation`] the canonical fingerprint is computed
+    /// from a cached symbol vector patched at the ≤ 2 nodes a step touches
+    /// (the min-rotation is then recomputed on the patched vector) instead
+    /// of re-deriving all `n` symbols per state. The only clone left in
+    /// the hot path is the violation capture when a terminal fails the
+    /// predicate.
     ///
     /// Livelocks are detected as back-edges on the DFS path, exactly as in
     /// the retained clone-based reference
@@ -811,147 +1031,49 @@ impl Explorer {
     pub fn run_serial<B>(
         &self,
         ring: &Ring<B>,
-        mut terminal_ok: impl FnMut(&Ring<B>) -> bool,
+        terminal_ok: impl FnMut(&Ring<B>) -> bool,
     ) -> Result<ExploreReport, ExploreError<B>>
     where
         B: Behavior + Clone + Hash,
         B::Message: Clone + Hash,
     {
-        let limits = self.limits;
-        let mut cur = ring.clone_for_exploration();
-        let mut cache = FingerprintCache::new(self.symmetry, &cur);
-        let root_fp = cache.fingerprint(&cur);
-
-        /// Visited-map value: the state is fully explored…
-        const DONE: u8 = 0;
-        /// …or still on the DFS path (a re-encounter is a back edge, i.e.
-        /// a livelock). One map serves as visited set *and* path set, so
-        /// the per-child cost is a single probe.
-        const ON_PATH: u8 = 1;
-        let mut visited: HashMap<u64, u8, FpBuildHasher> = HashMap::default();
-        let mut terminal_fps: Vec<u64> = Vec::new();
-        let mut report = ExploreReport {
-            states: 1,
-            terminals: 0,
-            max_depth_seen: 0,
-            terminal_fingerprints: Vec::new(),
-            merge_edges: 0,
-            peak_frontier: 1,
-            instance_fingerprint: None,
-        };
-        visited.insert(root_fp, ON_PATH);
-        if report.states > limits.max_states {
-            return Err(ExploreError::LimitExceeded(SimError::StepLimitExceeded {
-                limit: limits.max_states as u64,
-            }));
+        if self.limits.max_states == 0 {
+            return Err(ExploreError::LimitExceeded(limit_exceeded(0)));
         }
-        if cur.enabled_activations().is_empty() {
-            report.terminals = 1;
-            report.terminal_fingerprints = vec![root_fp];
-            if !terminal_ok(&cur) {
+        let mut walk = Walk::new(ring, self.symmetry, self.limits.max_depth);
+        let root_fp = walk.cache.fingerprint(&walk.ring);
+        let mut serial = Serial {
+            max_states: self.limits.max_states,
+            visited: HashMap::default(),
+            report: ExploreReport {
+                states: 1,
+                terminals: 0,
+                max_depth_seen: 0,
+                terminal_fingerprints: Vec::new(),
+                merge_edges: 0,
+                peak_frontier: 1,
+                instance_fingerprint: None,
+            },
+            terminal_ok,
+        };
+        serial.visited.insert(root_fp, ON_PATH);
+        if walk.ring.enabled_activations().is_empty() {
+            serial.report.terminals = 1;
+            serial.report.terminal_fingerprints = vec![root_fp];
+            if !(serial.terminal_ok)(&walk.ring) {
                 return Err(ExploreError::PredicateViolated {
-                    ring: Box::new(cur),
+                    ring: Box::new(walk.ring),
                     depth: 0,
                 });
             }
-            return Ok(report);
+            return Ok(serial.report);
         }
-
-        /// One live state on the DFS path: its fingerprint, its slice of
-        /// the shared activation arena, and the undo record that returns
-        /// the ring to its parent.
-        struct Frame<B: Behavior> {
-            fp: u64,
-            acts_start: usize,
-            next: usize,
-            undo: Option<(StepUndo<B>, SymbolPatch)>,
+        if let ControlFlow::Break(err) = walk.run(&mut serial, root_fp, 0, (), None) {
+            return Err(err);
         }
-
-        // All live states' enabled activations live in one arena,
-        // truncated on frame pop — no per-state allocation in steady
-        // state.
-        let mut arena: Vec<Activation> = Vec::new();
-        arena.extend_from_slice(cur.enabled_activations());
-        let mut stack: Vec<Frame<B>> = vec![Frame {
-            fp: root_fp,
-            acts_start: 0,
-            next: 0,
-            undo: None,
-        }];
-
-        while let Some(top) = stack.last_mut() {
-            if top.acts_start + top.next >= arena.len() {
-                // All children expanded: return to the parent state.
-                let frame = stack.pop().expect("stack is non-empty");
-                *visited.get_mut(&frame.fp).expect("path state is visited") = DONE;
-                arena.truncate(frame.acts_start);
-                if let Some((undo, patch)) = frame.undo {
-                    cache.revert(patch);
-                    cur.undo(undo);
-                }
-                continue;
-            }
-            let act = arena[top.acts_start + top.next];
-            top.next += 1;
-            let depth = stack.len();
-            report.max_depth_seen = report.max_depth_seen.max(depth);
-            if depth > limits.max_depth {
-                return Err(ExploreError::LimitExceeded(SimError::StepLimitExceeded {
-                    limit: limits.max_depth as u64,
-                }));
-            }
-            let undo = cur.apply(act);
-            let patch = cache.patch(&cur, &undo);
-            let fp = cache.fingerprint(&cur);
-            match visited.entry(fp) {
-                std::collections::hash_map::Entry::Occupied(seen) => {
-                    if *seen.get() == ON_PATH {
-                        return Err(ExploreError::CycleDetected { depth });
-                    }
-                    report.merge_edges += 1;
-                    cache.revert(patch);
-                    cur.undo(undo);
-                    continue;
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(ON_PATH);
-                }
-            }
-            report.states += 1;
-            if report.states > limits.max_states {
-                return Err(ExploreError::LimitExceeded(SimError::StepLimitExceeded {
-                    limit: limits.max_states as u64,
-                }));
-            }
-            if cur.enabled_activations().is_empty() {
-                report.terminals += 1;
-                terminal_fps.push(fp);
-                if !terminal_ok(&cur) {
-                    // The one clone-shaped cost left: capturing the
-                    // violating configuration moves the live ring out.
-                    return Err(ExploreError::PredicateViolated {
-                        ring: Box::new(cur),
-                        depth,
-                    });
-                }
-                *visited.get_mut(&fp).expect("just inserted") = DONE;
-                cache.revert(patch);
-                cur.undo(undo);
-                continue;
-            }
-            let acts_start = arena.len();
-            arena.extend_from_slice(cur.enabled_activations());
-            stack.push(Frame {
-                fp,
-                acts_start,
-                next: 0,
-                undo: Some((undo, patch)),
-            });
-            report.peak_frontier = report.peak_frontier.max(stack.len());
-        }
-        terminal_fps.sort_unstable();
-        report.terminal_fingerprints = terminal_fps;
-        Ok(report)
+        serial.report.max_depth_seen = walk.max_depth_seen;
+        serial.report.terminal_fingerprints.sort_unstable();
+        Ok(serial.report)
     }
 
     /// The **retained clone-based reference engine** — the pre-0.5 serial
@@ -1008,9 +1130,9 @@ impl Explorer {
                 Frame::Enter(state, depth) => {
                     report.max_depth_seen = report.max_depth_seen.max(depth);
                     if depth > limits.max_depth {
-                        return Err(ExploreError::LimitExceeded(SimError::StepLimitExceeded {
-                            limit: limits.max_depth as u64,
-                        }));
+                        return Err(ExploreError::LimitExceeded(limit_exceeded(
+                            limits.max_depth,
+                        )));
                     }
                     let fp = self.fingerprint(&state);
                     if on_path.contains(&fp) {
@@ -1022,9 +1144,9 @@ impl Explorer {
                     }
                     report.states += 1;
                     if report.states > limits.max_states {
-                        return Err(ExploreError::LimitExceeded(SimError::StepLimitExceeded {
-                            limit: limits.max_states as u64,
-                        }));
+                        return Err(ExploreError::LimitExceeded(limit_exceeded(
+                            limits.max_states,
+                        )));
                     }
                     if state.enabled_activations().is_empty() {
                         report.terminals += 1;
@@ -1054,16 +1176,14 @@ impl Explorer {
         Ok(report)
     }
 
-    /// The **work-stealing engine**: every worker runs the clone-free
-    /// in-place DFS of [`run_serial`](Explorer::run_serial) on its own
-    /// scratch ring, and load-balances by *donating* untried sibling
-    /// activations of its deepest live state to a shared [`Injector`]
-    /// whenever the queue runs low. A donated child travels as a
-    /// delta-encoded steal handoff — one `Arc`-shared
-    /// [`PackedState`] snapshot of the parent plus the `Copy`
-    /// [`Activation`] that produces the child
-    /// ([`PackedState::restore_child_into`]) — so donating `m` siblings
-    /// costs one pack, not `m`.
+    /// The **work-stealing engine**: every worker runs the [`Walk`]
+    /// kernel of [`run_serial`](Explorer::run_serial) on its own scratch
+    /// ring, and load-balances by *donating* untried sibling activations
+    /// of its deepest live state to a shared [`Injector`] whenever the
+    /// queue runs low. A donated child travels as a delta-encoded steal
+    /// handoff — one `Arc`-shared [`PackedState`] snapshot of the parent
+    /// plus the `Copy` [`Activation`] that produces the child — so
+    /// donating `m` siblings costs one pack, not `m`.
     ///
     /// Determinism: the striped visited map admits each fingerprint
     /// exactly once, and each (state, activation) pair is expanded by
@@ -1082,12 +1202,9 @@ impl Explorer {
         B: Behavior + Clone + Hash + Send + Sync,
         B::Message: Clone + Hash + Send + Sync,
     {
-        let limits = self.limits;
         let root_fp = self.fingerprint(ring);
-        if limits.max_states == 0 {
-            return Err(ExploreError::LimitExceeded(SimError::StepLimitExceeded {
-                limit: 0,
-            }));
+        if self.limits.max_states == 0 {
+            return Err(ExploreError::LimitExceeded(limit_exceeded(0)));
         }
         if ring.enabled_activations().is_empty() {
             if !terminal_ok(ring) {
@@ -1128,7 +1245,7 @@ impl Explorer {
             threads,
         };
 
-        let outs: Vec<StealOut<B>> = std::thread::scope(|scope| {
+        let outs: Vec<Stealer<'_, '_, B, _>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| scope.spawn(|| steal_worker_loop(ring, &ctx)))
                 .collect();
@@ -1190,19 +1307,91 @@ impl Explorer {
     }
 }
 
+/// Serial visited-map value: the state is fully explored…
+const DONE: u8 = 0;
+/// …or still on the DFS path (a re-encounter is a back edge, i.e. a
+/// livelock). One map serves as visited set *and* path set, so the
+/// per-child cost is a single probe.
+const ON_PATH: u8 = 1;
+
+/// The [`Visitor`] of [`Explorer::run_serial`]: the path-marking
+/// visited map and the report counters.
+struct Serial<F> {
+    max_states: usize,
+    visited: HashMap<u64, u8, FpBuildHasher>,
+    report: ExploreReport,
+    terminal_ok: F,
+}
+
+impl<B, F> Visitor<B> for Serial<F>
+where
+    B: Behavior + Clone + Hash,
+    B::Message: Clone + Hash,
+    F: FnMut(&Ring<B>) -> bool,
+{
+    type Frame = ();
+    type Break = ExploreError<B>;
+
+    fn exceeded(&mut self, limit: usize) -> ExploreError<B> {
+        ExploreError::LimitExceeded(limit_exceeded(limit))
+    }
+
+    #[inline]
+    fn admit(
+        &mut self,
+        child: Child<'_, B>,
+        _: &mut (),
+    ) -> ControlFlow<ExploreError<B>, Option<()>> {
+        match self.visited.entry(child.fp) {
+            std::collections::hash_map::Entry::Occupied(seen) => {
+                if *seen.get() == ON_PATH {
+                    return ControlFlow::Break(ExploreError::CycleDetected { depth: child.depth });
+                }
+                self.report.merge_edges += 1;
+                return ControlFlow::Continue(None);
+            }
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(ON_PATH);
+            }
+        }
+        self.report.states += 1;
+        if self.report.states > self.max_states {
+            return ControlFlow::Break(self.exceeded(self.max_states));
+        }
+        if child.ring.enabled_activations().is_empty() {
+            self.report.terminals += 1;
+            self.report.terminal_fingerprints.push(child.fp);
+            if !(self.terminal_ok)(child.ring) {
+                return ControlFlow::Break(ExploreError::PredicateViolated {
+                    ring: Box::new(child.ring.clone()),
+                    depth: child.depth,
+                });
+            }
+            self.visited.insert(child.fp, DONE);
+            return ControlFlow::Continue(None);
+        }
+        self.report.peak_frontier = self.report.peak_frontier.max(child.depth + 1);
+        ControlFlow::Continue(Some(()))
+    }
+
+    fn leave(&mut self, fp: u64, _: (), _: Option<&mut ()>) {
+        self.visited.insert(fp, DONE);
+    }
+}
+
 /// One unit of stealable work: a subtree root, delta-encoded against an
 /// `Arc`-shared parent snapshot. `act == None` only for the global root
 /// task (the root is packed directly and already counted); `act ==
 /// Some(a)` denotes the *child* of `parent` under `a` — the stealer
-/// restores the parent, applies the delta, and performs all of the
+/// restores the parent and walks from it through `a` alone, so the
 /// child's bookkeeping (edge accounting, visited insert, terminal check)
-/// before expanding its subtree.
+/// is the walk's, as for any other child.
 struct StealTask<B: Behavior> {
     parent: Arc<PackedState<B>>,
     /// Fingerprint of `parent` (the recorded edge's source).
     parent_fp: u64,
     act: Option<Activation>,
-    /// Schedule depth of the denoted state.
+    /// Schedule depth of `parent`.
     depth: usize,
 }
 
@@ -1332,35 +1521,14 @@ struct StealCtx<'a, B: Behavior, F> {
     threads: usize,
 }
 
-impl<B: Behavior, F> StealCtx<'_, B, F> {
-    /// Records a limit error (first writer wins) and halts the sweep.
-    fn set_limit(&self, limit: usize) {
-        let mut slot = self.limit.lock().expect("explorer limit slot poisoned");
-        if slot.is_none() {
-            *slot = Some(SimError::StepLimitExceeded {
-                limit: limit as u64,
-            });
-        }
-        drop(slot);
-        self.injector.halt();
-    }
-}
-
-/// One live state on a steal worker's DFS path. Same shape as the serial
-/// engine's frame, plus the lazily memoised packed snapshot used when
-/// this state's untried activations are donated.
-struct StealFrame<B: Behavior> {
-    fp: u64,
-    /// Schedule depth of this state.
-    depth: usize,
-    acts_start: usize,
-    next: usize,
-    undo: Option<(StepUndo<B>, SymbolPatch)>,
-    packed: Option<Arc<PackedState<B>>>,
-}
-
-/// Thread-local partial results of one steal worker over the whole sweep.
-struct StealOut<B: Behavior> {
+/// The [`Visitor`] of one steal worker, and its partial results over the
+/// whole sweep: the sharded visited map and the edge log, with donation
+/// and the halt check before each child. Each frame memoises the packed
+/// snapshot its untried activations are donated against. Cycles are not
+/// checked on the path; they are certified globally after the sweep (see
+/// `find_cycle`).
+struct Stealer<'c, 'a, B: Behavior, F> {
+    ctx: &'c StealCtx<'a, B, F>,
     /// Newly discovered terminal fingerprints.
     terminals: Vec<u64>,
     /// Recorded quotient edges (when termination certification is on).
@@ -1375,223 +1543,132 @@ struct StealOut<B: Behavior> {
     violation: Option<(u64, usize, Box<Ring<B>>)>,
 }
 
-impl<B: Behavior> StealOut<B> {
-    fn new() -> Self {
-        StealOut {
-            terminals: Vec::new(),
-            edges: Vec::new(),
-            edge_count: 0,
-            max_depth: 0,
-            violation: None,
-        }
-    }
-
-    fn offer_violation(&mut self, fp: u64, depth: usize, ring: Box<Ring<B>>) {
-        match &self.violation {
-            Some((best, _, _)) if *best <= fp => {}
-            _ => self.violation = Some((fp, depth, ring)),
-        }
-    }
-}
-
-/// A steal worker's mutable state: one long-lived scratch ring and
-/// fingerprint cache (restored wholesale per task), the DFS activation
-/// arena and frame stack (reused across tasks), and the partial results.
-struct StealWorker<B: Behavior> {
-    scratch: Ring<B>,
-    cache: FingerprintCache,
-    arena: Vec<Activation>,
-    stack: Vec<StealFrame<B>>,
-    out: StealOut<B>,
-}
-
-/// Worker entry point: drain the injector until the sweep completes or
-/// halts, running each task's subtree DFS.
-fn steal_worker_loop<B, F>(ring: &Ring<B>, ctx: &StealCtx<'_, B, F>) -> StealOut<B>
+impl<B, F> Visitor<B> for Stealer<'_, '_, B, F>
 where
     B: Behavior + Clone + Hash,
     B::Message: Clone + Hash,
     F: Fn(&Ring<B>) -> bool,
 {
-    let scratch = ring.clone_for_exploration();
-    let cache = FingerprintCache::new(ctx.explorer.symmetry, &scratch);
-    let mut worker = StealWorker {
-        scratch,
-        cache,
-        arena: Vec::new(),
-        stack: Vec::new(),
-        out: StealOut::new(),
-    };
-    while let Some(task) = ctx.injector.acquire() {
-        steal_run_task(&mut worker, task, ctx);
-        ctx.injector.complete();
-    }
-    worker.out
-}
+    type Frame = Option<Arc<PackedState<B>>>;
+    type Break = ();
 
-/// Runs one steal task: decode the denoted state, perform the child's
-/// bookkeeping if the task is a delta-encoded handoff, then expand the
-/// subtree depth-first with reversible apply/undo — donating untried
-/// sibling activations of the deepest frame whenever the injector runs
-/// low.
-fn steal_run_task<B, F>(w: &mut StealWorker<B>, task: StealTask<B>, ctx: &StealCtx<'_, B, F>)
-where
-    B: Behavior + Clone + Hash,
-    B::Message: Clone + Hash,
-    F: Fn(&Ring<B>) -> bool,
-{
-    let limits = ctx.explorer.limits;
-    let certify = ctx.explorer.certify_termination;
-    let (fp, depth) = match task.act {
-        None => {
-            // The global root: already inserted and counted by the
-            // coordinator; just rehydrate and expand.
-            task.parent.restore_into(&mut w.scratch);
-            w.cache.reset(&w.scratch);
-            (task.parent_fp, task.depth)
+    /// Abandons the task once the sweep halts (the next task restores the
+    /// scratch ring wholesale, so no unwinding is needed). Otherwise, if
+    /// the queue is running dry and the state has at least two untried
+    /// activations, packs the state once (memoised) and hands off half of
+    /// the untried tail as delta-encoded children. Only-child chains
+    /// never donate, so the pack cost is only paid where there is real
+    /// branching to share.
+    fn before_child(
+        &mut self,
+        ring: &Ring<B>,
+        fp: u64,
+        depth: usize,
+        packed: &mut Self::Frame,
+        untried: &[Activation],
+    ) -> ControlFlow<(), usize> {
+        let injector = self.ctx.injector;
+        if injector.stopped() {
+            return ControlFlow::Break(());
         }
-        Some(act) => {
-            // Delta-decode the donated child, then do all of its
-            // bookkeeping here — the donor only recorded the handoff.
-            task.parent.restore_child_into(&mut w.scratch, act);
-            w.cache.reset(&w.scratch);
-            let fp = w.cache.fingerprint(&w.scratch);
-            w.out.edge_count += 1;
-            if certify {
-                w.out.edges.push((task.parent_fp, fp));
-            }
-            w.out.max_depth = w.out.max_depth.max(task.depth);
-            if task.depth > limits.max_depth {
-                ctx.set_limit(limits.max_depth);
-                return;
-            }
-            if !ctx.visited.insert(fp, task.depth as u32) {
-                return; // merge edge: someone else got here first
-            }
-            let count = ctx.state_count.fetch_add(1, Ordering::Relaxed) + 1;
-            if count > limits.max_states {
-                ctx.set_limit(limits.max_states);
-                return;
-            }
-            if w.scratch.enabled_activations().is_empty() {
-                w.out.terminals.push(fp);
-                if !(ctx.terminal_ok)(&w.scratch) {
-                    w.out
-                        .offer_violation(fp, task.depth, Box::new(w.scratch.clone()));
-                    ctx.injector.halt();
-                }
-                return;
-            }
-            (fp, task.depth)
-        }
-    };
-
-    // Scratch now holds a visited, non-terminal state: expand its subtree
-    // exactly like the serial DFS, minus the on-path cycle check (cycles
-    // are certified globally after the sweep — see `find_cycle`).
-    w.arena.clear();
-    w.arena.extend_from_slice(w.scratch.enabled_activations());
-    w.stack.clear();
-    w.stack.push(StealFrame {
-        fp,
-        depth,
-        acts_start: 0,
-        next: 0,
-        undo: None,
-        packed: None,
-    });
-    while let Some(top) = w.stack.last_mut() {
-        if ctx.injector.stopped() {
-            // Abandon the subtree; the next task restores scratch
-            // wholesale, so no unwinding is needed.
-            return;
-        }
-        if top.acts_start + top.next >= w.arena.len() {
-            let frame = w.stack.pop().expect("stack is non-empty");
-            w.arena.truncate(frame.acts_start);
-            if let Some((undo, patch)) = frame.undo {
-                w.cache.revert(patch);
-                w.scratch.undo(undo);
-            }
-            continue;
-        }
-        // Donation: if the queue is running dry and this frame still has
-        // at least two untried activations, pack the frame's state once
-        // (memoised) and hand off half of the remaining tail as
-        // delta-encoded children. Only-child chains never donate, so the
-        // pack cost is only paid where there is real branching to share.
-        let remaining = w.arena.len() - (top.acts_start + top.next);
-        if ctx.threads > 1 && remaining >= 2 && ctx.injector.hungry() {
-            let parent = top
-                .packed
-                .get_or_insert_with(|| Arc::new(PackedState::pack(&w.scratch)))
+        let remaining = untried.len();
+        if self.ctx.threads > 1 && remaining >= 2 && injector.hungry() {
+            let parent = packed
+                .get_or_insert_with(|| Arc::new(PackedState::pack(ring)))
                 .clone();
-            let parent_fp = top.fp;
-            let child_depth = top.depth + 1;
-            let from = w.arena.len() - remaining / 2;
-            ctx.injector
-                .push_batch(w.arena[from..].iter().map(|&act| StealTask {
-                    parent: parent.clone(),
-                    parent_fp,
-                    act: Some(act),
-                    depth: child_depth,
-                }));
-            w.arena.truncate(from);
-            continue;
+            let handed = remaining / 2;
+            injector.push_batch(untried[remaining - handed..].iter().map(|&act| StealTask {
+                parent: parent.clone(),
+                parent_fp: fp,
+                act: Some(act),
+                depth,
+            }));
+            return ControlFlow::Continue(handed);
         }
-        let act = w.arena[top.acts_start + top.next];
-        top.next += 1;
-        let child_depth = top.depth + 1;
-        w.out.max_depth = w.out.max_depth.max(child_depth);
-        if child_depth > limits.max_depth {
-            ctx.set_limit(limits.max_depth);
-            return;
+        ControlFlow::Continue(0)
+    }
+
+    /// Records the limit error (first writer wins) and halts the sweep.
+    fn exceeded(&mut self, limit: usize) {
+        let mut slot = self.ctx.limit.lock().expect("explorer limit slot poisoned");
+        slot.get_or_insert(limit_exceeded(limit));
+        drop(slot);
+        self.ctx.injector.halt();
+    }
+
+    #[inline]
+    fn admit(
+        &mut self,
+        child: Child<'_, B>,
+        _: &mut Self::Frame,
+    ) -> ControlFlow<(), Option<Self::Frame>> {
+        let ctx = self.ctx;
+        self.edge_count += 1;
+        if ctx.explorer.certify_termination {
+            self.edges.push((child.parent_fp, child.fp));
         }
-        let undo = w.scratch.apply(act);
-        let patch = w.cache.patch(&w.scratch, &undo);
-        let child_fp = w.cache.fingerprint(&w.scratch);
-        w.out.edge_count += 1;
-        if certify {
-            w.out.edges.push((top.fp, child_fp));
-        }
-        if !ctx.visited.insert(child_fp, child_depth as u32) {
-            // Merge edge: someone else owns this state; roll back.
-            w.cache.revert(patch);
-            w.scratch.undo(undo);
-            continue;
+        if !ctx.visited.insert(child.fp, child.depth as u32) {
+            // Merge edge: someone else owns this state.
+            return ControlFlow::Continue(None);
         }
         let count = ctx.state_count.fetch_add(1, Ordering::Relaxed) + 1;
-        if count > limits.max_states {
-            ctx.set_limit(limits.max_states);
-            return;
+        if count > ctx.explorer.limits.max_states {
+            self.exceeded(ctx.explorer.limits.max_states);
+            return ControlFlow::Break(());
         }
-        if w.scratch.enabled_activations().is_empty() {
-            w.out.terminals.push(child_fp);
-            if !(ctx.terminal_ok)(&w.scratch) {
+        if child.ring.enabled_activations().is_empty() {
+            self.terminals.push(child.fp);
+            if !(ctx.terminal_ok)(child.ring) {
                 // Clone only on violation capture. The clone's
                 // configuration is exact; its metrics/phases are scratch
                 // bookkeeping, not the path's (see
                 // [`ExploreError::PredicateViolated`]).
-                w.out
-                    .offer_violation(child_fp, child_depth, Box::new(w.scratch.clone()));
+                let ring = Box::new(child.ring.clone());
+                match &self.violation {
+                    Some((best, _, _)) if *best <= child.fp => {}
+                    _ => self.violation = Some((child.fp, child.depth, ring)),
+                }
                 ctx.injector.halt();
-                return;
+                return ControlFlow::Break(());
             }
-            w.cache.revert(patch);
-            w.scratch.undo(undo);
-            continue;
+            return ControlFlow::Continue(None);
         }
-        let acts_start = w.arena.len();
-        w.arena.extend_from_slice(w.scratch.enabled_activations());
-        w.stack.push(StealFrame {
-            fp: child_fp,
-            depth: child_depth,
-            acts_start,
-            next: 0,
-            undo: Some((undo, patch)),
-            packed: None,
-        });
+        ControlFlow::Continue(Some(None))
     }
+}
+
+/// Worker entry point: drain the injector until the sweep completes or
+/// halts. Each task restores its parent snapshot into the worker's
+/// long-lived walk (scratch ring, fingerprint cache, arena and frame
+/// stack) and walks the task's subtree, donating untried sibling
+/// activations whenever the injector runs low.
+fn steal_worker_loop<'c, 'a, B, F>(
+    ring: &Ring<B>,
+    ctx: &'c StealCtx<'a, B, F>,
+) -> Stealer<'c, 'a, B, F>
+where
+    B: Behavior + Clone + Hash,
+    B::Message: Clone + Hash,
+    F: Fn(&Ring<B>) -> bool,
+{
+    let mut walk = Walk::new(ring, ctx.explorer.symmetry, ctx.explorer.limits.max_depth);
+    let mut stealer = Stealer {
+        ctx,
+        terminals: Vec::new(),
+        edges: Vec::new(),
+        edge_count: 0,
+        max_depth: 0,
+        violation: None,
+    };
+    while let Some(task) = ctx.injector.acquire() {
+        task.parent.restore_into(&mut walk.ring);
+        walk.cache.reset(&walk.ring);
+        // A halted walk just ends the task; the sweep reads the halt.
+        let _ = walk.run(&mut stealer, task.parent_fp, task.depth, None, task.act);
+        ctx.injector.complete();
+    }
+    stealer.max_depth = walk.max_depth_seen;
+    stealer
 }
 
 /// The striped concurrent visited map of the work-stealing engine:

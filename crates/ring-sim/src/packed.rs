@@ -32,15 +32,14 @@
 //! Steal handoffs are **delta-encoded**: when a worker donates several
 //! untried children of one state, it packs the parent once (shared via
 //! `Arc`) and ships each child as the parent plus the `Copy`
-//! [`Activation`] that produces it —
-//! [`PackedState::restore_child_into`] decodes the pair on the stealing
-//! side. Donating `m` siblings therefore costs one `pack`, not `m`.
+//! [`Activation`](crate::scheduler::Activation) that produces it; the
+//! stealing side restores the parent and applies the activation.
+//! Donating `m` siblings therefore costs one `pack`, not `m`.
 
 use crate::action::Idle;
 use crate::agent::Behavior;
 use crate::config::Place;
 use crate::engine::{Ring, IN_TRANSIT};
-use crate::scheduler::Activation;
 use crate::{AgentId, NodeId};
 
 /// A compact snapshot of one configuration. See the [module docs](self).
@@ -239,23 +238,6 @@ where
         ring.refresh_enabled();
     }
 
-    /// Rehydrates `ring` to this snapshot's **child** under `act`: the
-    /// decode side of the work-stealing explorer's delta-encoded steal
-    /// handoff (parent snapshot + activation, see the [module
-    /// docs](self)). The undo record of the applied step is discarded —
-    /// a stolen subtree root is never rolled back past itself.
-    ///
-    /// # Panics
-    ///
-    /// As [`restore_into`](PackedState::restore_into); additionally,
-    /// `act` must be enabled in the restored parent (it was when the
-    /// donor packed it — [`Ring::apply`] panics on a disabled
-    /// activation).
-    pub fn restore_child_into(&self, ring: &mut Ring<B>, act: Activation) {
-        self.restore_into(ring);
-        let _undo = ring.apply(act);
-    }
-
     /// Heap bytes this snapshot owns (payload of the six buffers) —
     /// the per-state memory figure the exploration benchmark reports.
     pub fn heap_bytes(&self) -> usize {
@@ -412,7 +394,8 @@ mod tests {
                     let mut expected = parent.clone();
                     expected.step(act);
                     let mut scratch = mid_run_ring(seed ^ 0xbeef, steps + 1);
-                    packed.restore_child_into(&mut scratch, act);
+                    packed.restore_into(&mut scratch);
+                    scratch.apply(act);
                     assert_eq!(
                         plain_fingerprint(&scratch),
                         plain_fingerprint(&expected),

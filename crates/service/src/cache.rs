@@ -76,6 +76,13 @@ impl ResultCache {
     /// Looks up `canonical_key`, counting a hit (and refreshing
     /// recency) or a miss.
     pub fn get(&mut self, canonical_key: &str) -> Option<Json> {
+        self.lookup(canonical_key, true)
+    }
+
+    /// [`get`](ResultCache::get), counting a miss only if `count_miss`:
+    /// the daemon probes a stalled cell again on every wake, but the
+    /// cell misses once.
+    pub(crate) fn lookup(&mut self, canonical_key: &str, count_miss: bool) -> Option<Json> {
         let stamp = self.tick();
         match self.map.get_mut(canonical_key) {
             Some(entry) => {
@@ -86,7 +93,7 @@ impl ResultCache {
                 Some(entry.payload.clone())
             }
             None => {
-                self.misses += 1;
+                self.misses += u64::from(count_miss);
                 None
             }
         }

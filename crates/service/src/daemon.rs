@@ -161,6 +161,10 @@ struct Job {
     canon: Vec<String>,
     /// Cells up to (exclusive) this index are cache-probed/dispatched.
     next_dispatch: usize,
+    /// The cell at `next_dispatch` already missed the cache: its
+    /// dispatch stalled on a full queue, and the re-probe on wake must
+    /// not count the miss again.
+    missed: bool,
     /// Rows up to (exclusive) this index are delivered.
     emitted: usize,
     /// Cells currently in the worker queue or being computed.
@@ -511,6 +515,7 @@ impl Daemon {
                 keys,
                 canon,
                 next_dispatch: 0,
+                missed: false,
                 emitted: 0,
                 in_flight: 0,
                 hits: 0,
@@ -550,7 +555,9 @@ impl Daemon {
         // Phase 1: probe the cache / dispatch misses, in cell order.
         while !job.canceled && job.next_dispatch < job.keys.len() {
             let cell = job.next_dispatch;
-            if let Some(payload) = self.cache.get(&job.canon[cell]) {
+            let probe = self.cache.lookup(&job.canon[cell], !job.missed);
+            job.missed = false;
+            if let Some(payload) = probe {
                 job.ready.insert(cell, (true, Ok(payload)));
                 job.hits += 1;
                 job.next_dispatch += 1;
@@ -567,6 +574,7 @@ impl Daemon {
                     job.next_dispatch += 1;
                 }
                 Err(_full) => {
+                    job.missed = true;
                     self.stalled.insert(id);
                     break;
                 }

@@ -183,6 +183,27 @@ fn rows_arrive_in_cell_order_under_a_one_slot_queue() {
     handle.join().expect("server thread");
 }
 
+/// A cell whose dispatch stalls on the full one-slot queue is probed
+/// again on every wake, but it misses the cache once: on a fresh job,
+/// cache misses equal computed cells.
+#[test]
+fn stalled_cells_count_one_cache_miss_each() {
+    let (addr, handle) = start(DaemonConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..small_config()
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    let seeds: Vec<u64> = (0..12).collect();
+    submit(&mut client, 3, Backpressure::Block, sweep_job(&seeds));
+    assert_eq!(rows(&collect_job(&mut client, 3)).len(), 12);
+    let after = stats(&mut client);
+    assert_eq!(after.cells_computed, 12);
+    assert_eq!(after.cache.misses, after.cells_computed);
+    shutdown(&mut client);
+    handle.join().expect("server thread");
+}
+
 /// Two clients stream interleaved jobs; each sees its own rows in
 /// order with its own id.
 #[test]

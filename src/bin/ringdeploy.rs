@@ -99,6 +99,23 @@ struct Options {
     json: bool,
 }
 
+/// Applies `--g` to the selected family: only partial gathering takes a
+/// group size, and a group needs at least one agent.
+fn with_group_size(algo: Algorithm, g: Option<usize>, usage: &str) -> Result<Algorithm, String> {
+    let Some(g) = g else {
+        return Ok(algo);
+    };
+    if !algo.name().starts_with("partial-gathering") {
+        return Err(format!(
+            "--g only applies to --algo partial-gathering\n{usage}"
+        ));
+    }
+    if g == 0 {
+        return Err(format!("--g must be at least 1\n{usage}"));
+    }
+    Ok(Algorithm::partial_gathering(g))
+}
+
 fn usage() -> &'static str {
     "usage: ringdeploy --n <nodes> (--homes a,b,c | --k <agents> [--seed s]) \
      [--algo algo1|algo2|relaxed|partial-gathering [--g <size>]] \
@@ -234,15 +251,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             usage()
         ));
     }
-    if let Some(g) = opts.g {
-        if !opts.algo.name().starts_with("partial-gathering") {
-            return Err(format!(
-                "--g only applies to --algo partial-gathering\n{}",
-                usage()
-            ));
-        }
-        opts.algo = Algorithm::partial_gathering(g);
-    }
+    opts.algo = with_group_size(opts.algo, opts.g, usage())?;
     if opts.tier_set && !opts.certify {
         return Err(format!("--tier requires --certify\n{}", usage()));
     }
@@ -828,15 +837,7 @@ mod service_cli {
             i += 1;
         }
         let addr = addr.expect("dispatched on --connect");
-        if let Some(g) = g {
-            if !algo.name().starts_with("partial-gathering") {
-                return Err(format!(
-                    "--g only applies to --algo partial-gathering\n{}",
-                    usage()
-                ));
-            }
-            algo = Algorithm::partial_gathering(g);
-        }
+        let algo = super::with_group_size(algo, g, usage())?;
         // Retry transient connect failures (a daemon launched just
         // before us may still be binding its listener).
         let mut client = Client::connect_with_retry(&addr, 5, std::time::Duration::from_millis(50))

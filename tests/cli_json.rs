@@ -286,3 +286,50 @@ fn certify_succeeds_with_all_holds_flags_true_on_a_real_instance() {
         assert_eq!(field(cert_json, "holds"), &Json::Bool(true));
     }
 }
+
+/// `--g 0` names no group size. Both the single-instance parser and the
+/// `--connect` parser refuse it as a usage error (exit 2) instead of
+/// silently running `partial-gathering-g1`; the `--connect` case fails
+/// before any connection is attempted.
+#[test]
+fn group_size_zero_is_a_usage_error() {
+    let local: &[&str] = &[
+        "--n",
+        "8",
+        "--homes",
+        "0,1",
+        "--algo",
+        "partial-gathering",
+        "--g",
+        "0",
+        "--json",
+    ];
+    let remote: &[&str] = &[
+        "--connect",
+        "127.0.0.1:1",
+        "--job",
+        "certify",
+        "--workload",
+        "quarter",
+        "--n",
+        "16",
+        "--k",
+        "4",
+        "--algo",
+        "partial-gathering",
+        "--g",
+        "0",
+    ];
+    for args in [local, remote] {
+        let output = Command::new(env!("CARGO_BIN_EXE_ringdeploy"))
+            .args(args)
+            .output()
+            .expect("spawn ringdeploy");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("--g must be at least 1"),
+            "{args:?}: {stderr}"
+        );
+    }
+}

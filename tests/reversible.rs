@@ -2,9 +2,11 @@
 //! `Ring::undo` is the **identity** on every observable of the ring —
 //! plain and canonical fingerprints, the full schedule-state hash, the
 //! enabled-activation slice, metrics, phase tallies and the step counter
-//! — across FIFO and LIFO link disciplines and all three of the paper's
-//! algorithm families; and `apply` drives the ring through **bit-exactly
-//! the same** trajectory as the irreversible `step`.
+//! — across FIFO and LIFO link disciplines, the paper's three algorithm
+//! families plus g-partial gathering, and fault plans with crash-stops
+//! and edge outages; and `apply` drives the ring through **bit-exactly
+//! the same** trajectory as `step`, traced or not. Both entry points run
+//! one shared transition, so these twins check it from both callers.
 //!
 //! These are the invariants the clone-free exhaustive explorer stands on:
 //! its serial DFS revisits a parent by undoing, never by cloning, so any
@@ -21,7 +23,9 @@ use rand::{Rng, SeedableRng};
 use ringdeploy::sim::canonical::{canonical_fingerprint, plain_fingerprint};
 use ringdeploy::sim::scheduler::{Activation, Random};
 use ringdeploy::sim::{Behavior, LinkDiscipline, Metrics, PhaseTally, Ring, Scheduler};
-use ringdeploy::{FullKnowledge, InitialConfig, LogSpace, NoKnowledge};
+use ringdeploy::{
+    AgentId, FaultPlan, FullKnowledge, InitialConfig, LogSpace, NoKnowledge, PartialGathering,
+};
 
 /// Everything a round-trip must restore bit-exactly.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +75,8 @@ fn random_instance(seed: u64) -> InitialConfig {
 ///
 /// * apply→undo of **every** enabled activation is the identity on the
 ///   [`Snapshot`];
-/// * advancing via `apply` matches a twin advanced via `step` bit-exactly;
+/// * advancing via `apply` matches twins advanced via `step` bit-exactly,
+///   one untraced and one with tracing enabled;
 /// * undoing the whole recorded run restores the initial snapshot.
 fn check_reversible<B>(
     make: &dyn Fn() -> Ring<B>,
@@ -90,6 +95,8 @@ where
     };
     let mut ring = prepare();
     let mut twin = prepare();
+    let mut traced_twin = prepare();
+    traced_twin.enable_trace(64);
     let initial = snapshot(&ring);
     let mut undos = Vec::new();
     let mut scheduler = Random::seeded(seed ^ 0x5bd1_e995);
@@ -117,10 +124,18 @@ where
         let act = ring.enabled_activations()[chosen];
         undos.push(ring.apply(act));
         twin.step(act);
+        traced_twin.step(act);
         prop_assert_eq!(
             snapshot(&ring),
             snapshot(&twin),
             "{}: apply diverged from step after {:?}",
+            label,
+            act
+        );
+        prop_assert_eq!(
+            snapshot(&ring),
+            snapshot(&traced_twin),
+            "{}: apply diverged from traced step after {:?}",
             label,
             act
         );
@@ -137,40 +152,62 @@ where
     Ok(())
 }
 
+/// The plans every instance is checked under: fault-free, a crash-stop,
+/// dynamic-edge outages, and both at once.
+fn fault_plans(seed: u64, k: usize) -> [FaultPlan; 4] {
+    let crash = FaultPlan::none().with_crash(AgentId(seed as usize % k), seed % 3);
+    [
+        FaultPlan::none(),
+        crash.clone(),
+        FaultPlan::none().with_edge_outages(2),
+        crash.with_edge_outages(2),
+    ]
+}
+
 fn check_all_families(seed: u64, discipline: LinkDiscipline) -> Result<(), TestCaseError> {
-    let init = random_instance(seed);
-    let k = init.agent_count();
-    let label = format!(
-        "n={} k={} {:?}",
-        init.ring_size(),
-        init.agent_count(),
-        discipline
-    );
-    check_reversible(
-        &|| Ring::new(&init, |_| FullKnowledge::new(k)),
-        discipline,
-        seed,
-        &format!("algo1 {label}"),
-    )?;
-    check_reversible(
-        &|| Ring::new(&init, |_| LogSpace::new(k)),
-        discipline,
-        seed,
-        &format!("algo2 {label}"),
-    )?;
-    check_reversible(
-        &|| Ring::new(&init, |_| NoKnowledge::new()),
-        discipline,
-        seed,
-        &format!("relaxed {label}"),
-    )?;
+    let base = random_instance(seed);
+    let k = base.agent_count();
+    for plan in fault_plans(seed, k) {
+        let init = base.clone().with_faults(plan);
+        let label = format!(
+            "n={} k={} {:?} {:?}",
+            init.ring_size(),
+            k,
+            discipline,
+            init.faults()
+        );
+        check_reversible(
+            &|| Ring::new(&init, |_| FullKnowledge::new(k)),
+            discipline,
+            seed,
+            &format!("algo1 {label}"),
+        )?;
+        check_reversible(
+            &|| Ring::new(&init, |_| LogSpace::new(k)),
+            discipline,
+            seed,
+            &format!("algo2 {label}"),
+        )?;
+        check_reversible(
+            &|| Ring::new(&init, |_| NoKnowledge::new()),
+            discipline,
+            seed,
+            &format!("relaxed {label}"),
+        )?;
+        check_reversible(
+            &|| Ring::new(&init, |_| PartialGathering::new(k)),
+            discipline,
+            seed,
+            &format!("gathering {label}"),
+        )?;
+    }
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// FIFO (the paper's model): all three algorithm families.
+    /// FIFO (the paper's model): every family, every fault plan.
     #[test]
     fn apply_undo_is_identity_under_fifo(seed in 0u64..1_000_000) {
         check_all_families(seed, LinkDiscipline::Fifo)?;
