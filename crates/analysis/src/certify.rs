@@ -311,9 +311,9 @@ impl From<AdversaryError> for CertifyErrorKind {
 /// Runs the worst-case search for one explicit instance under
 /// `algorithm` — trait-routed through
 /// [`ProblemFamily::worst_case`](ringdeploy_core::ProblemFamily::worst_case),
-/// mirroring [`explore_one`](crate::explore_one). [`Certify`] cells, the
-/// CLI's `--adversary`/`--certify` modes and the `adversary_scale` bench
-/// all route through here.
+/// mirroring [`explore_one`](crate::explore_one). The CLI's
+/// `--adversary` mode and the `adversary_scale` bench route through
+/// here; [`worst_case_all`] is the several-objective form.
 ///
 /// # Errors
 ///
@@ -327,6 +327,19 @@ pub fn worst_case_one(
     algorithm.worst_case(init, adversary, objective)
 }
 
+/// Runs the worst-case search of every objective in `objectives` for
+/// one explicit instance under `algorithm`, from one walk
+/// ([`Adversary::run_all`]). Answer `i` equals
+/// [`worst_case_one`] for `objectives[i]`.
+pub fn worst_case_all(
+    algorithm: Algorithm,
+    init: &InitialConfig,
+    adversary: &Adversary,
+    objectives: &[Objective],
+) -> Vec<Result<WorstCase, AdversaryError>> {
+    algorithm.worst_case_all(init, adversary, objectives)
+}
+
 /// The objective's value in a completed run's report.
 fn objective_of_report(objective: Objective, report: &ringdeploy_core::DeployReport) -> u64 {
     match objective {
@@ -338,7 +351,8 @@ fn objective_of_report(objective: Objective, report: &ringdeploy_core::DeployRep
 
 /// Certifies one bound: measures the worst case of `objective` for
 /// `algorithm` on `init` at the given evidence `tier` and evaluates the
-/// recorded paper bound against it. See the [module docs](self).
+/// recorded paper bound against it. See the [module docs](self); the
+/// one-objective case of [`certify_all`].
 ///
 /// # Errors
 ///
@@ -350,24 +364,32 @@ pub fn certify_one(
     tier: EvidenceTier,
     settings: &CertifySettings,
 ) -> Result<BoundCertificate, CertifyErrorKind> {
+    certify_all(algorithm, init, &[objective], tier, settings)
+        .pop()
+        .expect("one objective, one certificate")
+}
+
+/// Certifies the bound of every objective in `objectives` on one
+/// instance, in order. The measurement is shared: at the sweep tier one
+/// set of preset runs feeds every objective, at the search tiers one
+/// walk does ([`worst_case_all`]). Certificate `i` equals
+/// [`certify_one`] for `objectives[i]`.
+pub fn certify_all(
+    algorithm: Algorithm,
+    init: &InitialConfig,
+    objectives: &[Objective],
+    tier: EvidenceTier,
+    settings: &CertifySettings,
+) -> Vec<Result<BoundCertificate, CertifyErrorKind>> {
     let n = init.ring_size();
     let k = init.agent_count();
     let l = init.symmetry_degree();
-    let bound = paper_bound(algorithm, objective, n, k, l);
-    let (worst_value, witness, terminal_fingerprint, search) = match tier {
-        EvidenceTier::Sweep => {
-            let mut schedules: Vec<Schedule> = vec![Schedule::RoundRobin, Schedule::OneAtATime];
-            schedules.extend((0..k).map(Schedule::DelayAgent));
-            schedules.extend((0..settings.sweep_seeds).map(Schedule::Random));
-            let mut max = 0u64;
-            for schedule in schedules {
-                let report = Deployment::of(init)
-                    .algorithm(algorithm)
-                    .run_preset(schedule)?;
-                max = max.max(objective_of_report(objective, &report));
-            }
-            (max, None, None, None)
-        }
+    // Per objective: the worst value, and the search tiers' full answer.
+    let measured: Vec<Result<(u64, Option<WorstCase>), CertifyErrorKind>> = match tier {
+        EvidenceTier::Sweep => match sweep_maxima(algorithm, init, objectives, settings) {
+            Ok(maxima) => maxima.into_iter().map(|max| Ok((max, None))).collect(),
+            Err(e) => vec![Err(e.into()); objectives.len()],
+        },
         EvidenceTier::Exhaustive | EvidenceTier::Adversarial => {
             let symmetry = match tier {
                 EvidenceTier::Exhaustive => SymmetryMode::Off,
@@ -377,75 +399,108 @@ pub fn certify_one(
                 .limits
                 .unwrap_or_else(|| ExploreLimits::for_instance(n, k));
             let adversary = Adversary::new().limits(limits).symmetry(symmetry);
-            let worst = worst_case_one(algorithm, init, &adversary, objective)?;
-            let stats = SearchStats::from(&worst);
-            (
-                worst.value,
-                Some(worst.witness),
-                Some(worst.terminal_fingerprint),
-                Some(stats),
-            )
+            worst_case_all(algorithm, init, &adversary, objectives)
+                .into_iter()
+                .map(|worst| {
+                    worst
+                        .map(|worst| (worst.value, Some(worst)))
+                        .map_err(Into::into)
+                })
+                .collect()
         }
     };
-    let (oracle, ratio) = match objective {
-        Objective::TotalMoves => {
-            let oracle = algorithm.oracle_moves(init);
-            let ratio = oracle
-                .filter(|&o| o > 0)
-                .map(|o| worst_value as f64 / o as f64);
-            (oracle, ratio)
-        }
-        _ => (None, None),
-    };
-    let holds = (worst_value as f64) <= bound.value;
-    let degradation = degradation_verdict(algorithm, init, holds);
-    Ok(BoundCertificate {
-        algorithm,
-        objective,
-        tier,
-        n,
-        k,
-        symmetry_degree: l,
-        bound,
-        worst_value,
-        witness,
-        terminal_fingerprint,
-        oracle_moves: oracle,
-        competitive_ratio: ratio,
-        search,
-        degradation,
-        instance_fingerprint: None,
-    })
-}
-
-/// The graceful-degradation tier: probes a faulted instance with one
-/// deterministic round-robin run to quiescence and classifies the
-/// outcome. `None` for fault-free instances — the verdict (like the
-/// fault plan itself) only exists on faulted keys.
-fn degradation_verdict(
-    algorithm: Algorithm,
-    init: &InitialConfig,
-    bound_holds: bool,
-) -> Option<DegradationVerdict> {
-    if init.faults().is_empty() {
-        return None;
-    }
-    Some(
-        match Deployment::of(init)
+    // The graceful-degradation probe of a faulted instance does not
+    // depend on the objective: one run serves every certificate.
+    let probe = (!init.faults().is_empty()).then(|| {
+        Deployment::of(init)
             .algorithm(algorithm)
             .run_preset(Schedule::RoundRobin)
-        {
-            Ok(report) if report.check.is_satisfied() && bound_holds => {
-                DegradationVerdict::BoundHolds
-            }
-            // Quiescent but short of the full claim — either the check
-            // failed (typically `CrashDegraded`) or the measured worst
-            // case broke the recorded bound; the carried check says
-            // which.
-            Ok(report) => DegradationVerdict::Degraded(report.check),
-            Err(_) => DegradationVerdict::Diverges,
-        },
-    )
+    });
+    objectives
+        .iter()
+        .zip(measured)
+        .map(|(&objective, measured)| {
+            let (worst_value, worst) = measured?;
+            let search = worst.as_ref().map(SearchStats::from);
+            let terminal_fingerprint = worst.as_ref().map(|w| w.terminal_fingerprint);
+            let witness = worst.map(|w| w.witness);
+            let bound = paper_bound(algorithm, objective, n, k, l);
+            let (oracle, ratio) = match objective {
+                Objective::TotalMoves => {
+                    let oracle = algorithm.oracle_moves(init);
+                    let ratio = oracle
+                        .filter(|&o| o > 0)
+                        .map(|o| worst_value as f64 / o as f64);
+                    (oracle, ratio)
+                }
+                _ => (None, None),
+            };
+            let holds = (worst_value as f64) <= bound.value;
+            Ok(BoundCertificate {
+                algorithm,
+                objective,
+                tier,
+                n,
+                k,
+                symmetry_degree: l,
+                bound,
+                worst_value,
+                witness,
+                terminal_fingerprint,
+                oracle_moves: oracle,
+                competitive_ratio: ratio,
+                search,
+                degradation: probe
+                    .as_ref()
+                    .map(|probe| degradation_verdict(probe, holds)),
+                instance_fingerprint: None,
+            })
+        })
+        .collect()
+}
+
+/// The sweep tier's measurement: per objective, the maximum over the
+/// deterministic presets (round-robin, one-at-a-time, every
+/// `delay-agent` victim) and `settings.sweep_seeds` random seeds. Each
+/// schedule runs once for all objectives.
+fn sweep_maxima(
+    algorithm: Algorithm,
+    init: &InitialConfig,
+    objectives: &[Objective],
+    settings: &CertifySettings,
+) -> Result<Vec<u64>, DeployError> {
+    let k = init.agent_count();
+    let mut schedules: Vec<Schedule> = vec![Schedule::RoundRobin, Schedule::OneAtATime];
+    schedules.extend((0..k).map(Schedule::DelayAgent));
+    schedules.extend((0..settings.sweep_seeds).map(Schedule::Random));
+    let mut maxima = vec![0u64; objectives.len()];
+    for schedule in schedules {
+        let report = Deployment::of(init)
+            .algorithm(algorithm)
+            .run_preset(schedule)?;
+        for (max, &objective) in maxima.iter_mut().zip(objectives) {
+            *max = (*max).max(objective_of_report(objective, &report));
+        }
+    }
+    Ok(maxima)
+}
+
+/// The graceful-degradation tier: classifies a faulted instance by its
+/// `probe`, one deterministic round-robin run to quiescence. Only
+/// faulted instances get a verdict — like the fault plan itself, it
+/// only exists on faulted keys.
+fn degradation_verdict(
+    probe: &Result<ringdeploy_core::DeployReport, DeployError>,
+    bound_holds: bool,
+) -> DegradationVerdict {
+    match probe {
+        Ok(report) if report.check.is_satisfied() && bound_holds => DegradationVerdict::BoundHolds,
+        // Quiescent but short of the full claim — either the check
+        // failed (typically `CrashDegraded`) or the measured worst case
+        // broke the recorded bound; the carried check says which.
+        Ok(report) => DegradationVerdict::Degraded(report.check.clone()),
+        Err(_) => DegradationVerdict::Diverges,
+    }
 }
 
 /// Coordinates of one cell in a certification batch's cross product.

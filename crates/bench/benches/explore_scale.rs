@@ -27,9 +27,11 @@
 //! Gates enforced by the bench itself:
 //!
 //! * **expansion throughput**: on the symmetry-degree-4 instances the
-//!   clone-free serial engine must run ≥ 5× the reference engine's
+//!   clone-free serial engine must run ≥ 5× the 0.4 engine's recorded
 //!   states/sec (the 0.5 acceptance bar, measured in-run so the gate is
-//!   host-independent);
+//!   host-independent). Reference and serial runs alternate
+//!   [`PAIRED_RUNS`] times, so host drift hits both alike, and the gate
+//!   reads the median of the per-pair time ratios;
 //! * **frontier memory**: a packed state must undercut half a deep clone;
 //! * **symmetry reduction**: ≥ 3× state cut on the `l = 4` instances;
 //! * **parallel speedup**: ≥ 2× over the clone-free serial engine on
@@ -52,6 +54,9 @@ use ringdeploy_sim::explore::{ExploreLimits, ExploreReport, Explorer, SymmetryMo
 use ringdeploy_sim::packed::{ring_heap_bytes, PackedState};
 use ringdeploy_sim::{InitialConfig, Ring};
 
+/// How many alternating reference/serial pairs each instance times.
+const PAIRED_RUNS: usize = 7;
+
 struct Sample {
     algo: &'static str,
     n: usize,
@@ -59,9 +64,13 @@ struct Sample {
     symmetry_degree: usize,
     states_plain: usize,
     states_reduced: usize,
+    /// Median reference time over the paired runs.
     reference: Duration,
     plain: Duration,
+    /// Median serial time over the paired runs.
     reduced: Duration,
+    /// Reference time ÷ serial time of each pair, sorted.
+    vs_ref: Vec<f64>,
     /// Timed work-stealing run at `cores()` workers; `None` on hosts with
     /// fewer than two cores (no honest parallel measurement exists
     /// there — see the module docs).
@@ -93,9 +102,20 @@ impl Sample {
     }
 
     /// In-run throughput gate: clone-free serial vs clone-based reference
-    /// on the identical exploration.
+    /// on the identical exploration — the median of the per-pair ratios.
     fn speedup_vs_reference(&self) -> f64 {
-        self.reference.as_secs_f64() / self.reduced.as_secs_f64()
+        median(&self.vs_ref)
+    }
+
+    /// The gated figure: serial throughput over the 0.4 engine's recorded
+    /// one, scaled to this host through the reference engine (see
+    /// [`THROUGHPUT_BASELINES`]). With `recorded` and `calibration` the
+    /// two baseline columns, `states_per_sec / (recorded ×
+    /// ref_states_per_sec / calibration)` reduces to `vs_ref ×
+    /// calibration / recorded`.
+    fn speedup_vs_baseline(&self) -> Option<f64> {
+        baseline_for(self.algo, self.n, self.symmetry_degree)
+            .map(|(recorded, calibration)| self.speedup_vs_reference() * calibration / recorded)
     }
 
     fn peak_states_bytes(&self) -> usize {
@@ -178,6 +198,27 @@ fn explorer_for(init: &InitialConfig, symmetry: SymmetryMode, threads: usize) ->
         .threads(threads)
 }
 
+/// The median of a sorted, non-empty slice.
+fn median(sorted: &[f64]) -> f64 {
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    }
+}
+
+fn median_duration(mut times: Vec<Duration>) -> Duration {
+    times.sort();
+    times[times.len() / 2]
+}
+
+fn timed(run: impl FnOnce() -> ExploreReport) -> (ExploreReport, Duration) {
+    let start = Instant::now();
+    let report = run();
+    (report, start.elapsed())
+}
+
 fn best_of(repeats: usize, mut run: impl FnMut() -> ExploreReport) -> (ExploreReport, Duration) {
     let mut best = Duration::MAX;
     let mut report = None;
@@ -193,25 +234,29 @@ fn best_of(repeats: usize, mut run: impl FnMut() -> ExploreReport) -> (ExploreRe
 fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> Sample {
     let algo = algorithm.name();
     let init = InitialConfig::new(n, homes.to_vec()).expect("valid homes");
-    let (reference_report, reference) = best_of(repeats, || {
-        explore_one_reference(
-            algorithm,
-            &init,
-            &explorer_for(&init, SymmetryMode::Rotation, 1),
-        )
-        .expect("reference exploration succeeds")
-    });
+    let rotation = explorer_for(&init, SymmetryMode::Rotation, 1);
+    let mut pairs = Vec::with_capacity(PAIRED_RUNS);
+    for _ in 0..PAIRED_RUNS {
+        let reference = timed(|| {
+            explore_one_reference(algorithm, &init, &rotation)
+                .expect("reference exploration succeeds")
+        });
+        let reduced = timed(|| {
+            explore_one_serial(algorithm, &init, &rotation).expect("serial exploration succeeds")
+        });
+        pairs.push((reference, reduced));
+    }
+    let mut vs_ref: Vec<f64> = pairs
+        .iter()
+        .map(|((_, reference), (_, reduced))| reference.as_secs_f64() / reduced.as_secs_f64())
+        .collect();
+    vs_ref.sort_by(f64::total_cmp);
+    let reference = median_duration(pairs.iter().map(|((_, t), _)| *t).collect());
+    let reduced = median_duration(pairs.iter().map(|(_, (_, t))| *t).collect());
+    let ((reference_report, _), (reduced_report, _)) = pairs.pop().expect("at least one pair");
     let (plain_report, plain) = best_of(repeats, || {
         explore_one_serial(algorithm, &init, &explorer_for(&init, SymmetryMode::Off, 1))
             .expect("plain exploration succeeds")
-    });
-    let (reduced_report, reduced) = best_of(repeats, || {
-        explore_one_serial(
-            algorithm,
-            &init,
-            &explorer_for(&init, SymmetryMode::Rotation, 1),
-        )
-        .expect("serial exploration succeeds")
     });
     // Timed parallel run only where an honest measurement exists (≥ 2
     // cores, exactly one worker per core); on single-core hosts an
@@ -271,6 +316,7 @@ fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> S
         reference,
         plain,
         reduced,
+        vs_ref,
         parallel,
         peak_frontier: parallel_report.peak_frontier,
         packed_bytes,
@@ -337,13 +383,9 @@ fn main() {
     let rows: Vec<String> = samples
         .iter()
         .map(|s| {
-            let vs_pr3 = match baseline_for(s.algo, s.n, s.symmetry_degree) {
-                Some((pr3, calib)) => {
-                    let host_scale = s.ref_states_per_sec() / calib;
-                    format!("{:.2}", s.states_per_sec() / (pr3 * host_scale))
-                }
-                None => "null".to_string(),
-            };
+            let vs_pr3 = s
+                .speedup_vs_baseline()
+                .map_or("null".to_string(), |x| format!("{x:.2}"));
             // 1-core hosts publish `null` for the parallel columns: a
             // multi-worker timing there would be a measurement of
             // oversubscription, not of the engine.
@@ -360,6 +402,8 @@ fn main() {
                  \"parallel_ms\": {parallel_ms}, \"speedup\": {speedup}, \
                  \"states_per_sec\": {:.0}, \"ref_states_per_sec\": {:.0}, \
                  \"serial_speedup_vs_ref\": {:.2}, \"serial_speedup_vs_pr3\": {vs_pr3}, \
+                 \"paired_runs\": {}, \"serial_speedup_vs_ref_min\": {:.2}, \
+                 \"serial_speedup_vs_ref_max\": {:.2}, \
                  \"peak_frontier\": {}, \
                  \"packed_state_bytes\": {}, \"clone_state_bytes\": {}, \
                  \"peak_states_bytes\": {}, \"peak_states_bytes_clone\": {}}}",
@@ -376,6 +420,9 @@ fn main() {
                 s.states_per_sec(),
                 s.ref_states_per_sec(),
                 s.speedup_vs_reference(),
+                PAIRED_RUNS,
+                s.vs_ref[0],
+                s.vs_ref[s.vs_ref.len() - 1],
                 s.peak_frontier,
                 s.packed_bytes,
                 s.clone_bytes,
@@ -405,24 +452,24 @@ fn main() {
     // Expansion throughput: the clone-free serial engine must deliver ≥5×
     // the PR 3 engine's states/sec on every l = 4 instance — the 0.5
     // acceptance gate. The PR 3 baseline is scaled to this host via the
-    // retained reference engine (see `THROUGHPUT_BASELINES`).
+    // retained reference engine (see `THROUGHPUT_BASELINES`), and the
+    // ratio is the median over alternating pairs (see `PAIRED_RUNS`).
     for s in samples.iter() {
-        let Some((pr3, calib)) = baseline_for(s.algo, s.n, s.symmetry_degree) else {
+        let Some(gated) = s.speedup_vs_baseline() else {
             continue;
         };
-        let host_scale = s.ref_states_per_sec() / calib;
-        let vs_pr3 = s.states_per_sec() / (pr3 * host_scale);
         assert!(
-            vs_pr3 >= 5.0,
+            gated >= 5.0,
             "expected ≥5× serial states/sec vs the PR 3 baseline on {} n={} (l={}): got \
-             {:.2}x ({:.0} states/s vs a host-scaled baseline of {:.0}; host scale {:.2})",
+             {:.2}x (median of {PAIRED_RUNS} paired serial/reference ratios; \
+             vs reference {:.2}x, pairs {:.2}–{:.2}x)",
             s.algo,
             s.n,
             s.symmetry_degree,
-            vs_pr3,
-            s.states_per_sec(),
-            pr3 * host_scale,
-            host_scale
+            gated,
+            s.speedup_vs_reference(),
+            s.vs_ref[0],
+            s.vs_ref[s.vs_ref.len() - 1],
         );
     }
     // Packed frontier memory: a packed state must be well under half a

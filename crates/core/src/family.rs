@@ -218,8 +218,23 @@ pub trait ProblemFamily: Send + Sync {
         engine: ExploreEngine,
     ) -> Result<ExploreReport, ExploreErrorKind>;
 
-    /// Finds the exact adversarial worst case of `objective` on one
-    /// instance via branch-and-bound over the reversible engine.
+    /// Finds the exact adversarial worst case of every objective in
+    /// `objectives` on one instance, in order, from one branch-and-bound
+    /// walk over the reversible engine ([`Adversary::run_all`]).
+    ///
+    /// # Errors
+    ///
+    /// Each answer fails as [`Adversary::run`] would for that objective;
+    /// see [`AdversaryError`].
+    fn worst_case_all(
+        &self,
+        init: &InitialConfig,
+        adversary: &Adversary,
+        objectives: &[Objective],
+    ) -> Vec<Result<WorstCase, AdversaryError>>;
+
+    /// The one-objective case of
+    /// [`worst_case_all`](ProblemFamily::worst_case_all).
     ///
     /// # Errors
     ///
@@ -229,7 +244,11 @@ pub trait ProblemFamily: Send + Sync {
         init: &InitialConfig,
         adversary: &Adversary,
         objective: Objective,
-    ) -> Result<WorstCase, AdversaryError>;
+    ) -> Result<WorstCase, AdversaryError> {
+        self.worst_case_all(init, adversary, &[objective])
+            .pop()
+            .expect("one objective, one answer")
+    }
 
     /// The recorded paper bound for `objective` at an `(n, k, l)`
     /// instance (`l` = symmetry degree of the initial configuration).
@@ -413,14 +432,14 @@ impl<F: FamilyBehavior> ProblemFamily for F {
         result.map_err(|e| e.kind())
     }
 
-    fn worst_case(
+    fn worst_case_all(
         &self,
         init: &InitialConfig,
         adversary: &Adversary,
-        objective: Objective,
-    ) -> Result<WorstCase, AdversaryError> {
+        objectives: &[Objective],
+    ) -> Vec<Result<WorstCase, AdversaryError>> {
         let ring = Ring::new(init, |_| self.agent(init.agent_count()));
-        adversary.run(&ring, objective)
+        adversary.run_all(&ring, objectives)
     }
 
     fn paper_bound(&self, objective: Objective, n: usize, k: usize, l: usize) -> PaperBound {

@@ -72,6 +72,25 @@
 //! (for move-like objectives, unbounded), reported as
 //! [`AdversaryError::CycleDetected`] exactly like the explorer.
 //!
+//! # One walk, every objective
+//!
+//! Only the Bellman value depends on the objective. The walk itself —
+//! `apply`/`undo`, fingerprints, memo hits and cycle checks — does not,
+//! so [`Adversary::run_all`] carries one `rem` slot per objective in
+//! every path node and memo row and answers all of them from one walk.
+//! Counters, cycle and limit errors are the walk's and hence shared; the
+//! witness descent runs once per objective over its own slot.
+//! [`Adversary::run`] is the one-objective case.
+//!
+//! The bound prune is the one place where the walk depends on the
+//! objective: the moves-only search skips subtrees the others must
+//! solve. The fused walk evaluates the prune predicate exactly where,
+//! and with the same `best_rem`, as the moves-only search would. The
+//! first time it holds, the moves objective leaves the walk (its own
+//! search diverges from there) and is searched alone once the walk is
+//! done. Every answer therefore equals its one-objective search's, byte
+//! for byte.
+//!
 //! # Example
 //!
 //! ```
@@ -249,16 +268,21 @@ impl std::fmt::Display for AdversaryError {
 
 impl std::error::Error for AdversaryError {}
 
-/// Visited-map entry: a state still being solved on the current DFS
-/// path (a re-encounter is a cycle) or a finished state carrying its
-/// exact maximum-remaining objective value.
-enum Entry {
-    /// On the current DFS path; its remaining value is in flight.
-    OnPath,
-    /// Solved: the exact maximum the objective can still gain from this
-    /// state to quiescence.
-    Done(u64),
-}
+/// Visited-map value of a state still being solved on the current DFS
+/// path (a re-encounter is a cycle). Any other value is the row of the
+/// state's exact maximum-remaining values in [`Search::solved`].
+const ON_PATH: usize = usize::MAX;
+
+/// The row every terminal shares: nothing remains from a quiescent
+/// state, for any objective.
+const TERMINAL_ROW: usize = 0;
+
+/// The most objectives one walk carries: one slot per distinct
+/// [`Objective`].
+const SLOTS: usize = Objective::ALL.len();
+
+/// One value per slot of the walk's objectives (unused slots stay 0).
+type Values = [u64; SLOTS];
 
 /// `combine(gain, rest)` of the module docs: how one step's gain merges
 /// with the remaining value of the state it leads to.
@@ -327,7 +351,8 @@ impl Adversary {
     }
 
     /// Finds the exact worst case of `objective` over every fair schedule
-    /// of `ring`, with a replayable witness.
+    /// of `ring`, with a replayable witness — the one-objective case of
+    /// [`Adversary::run_all`].
     ///
     /// # Errors
     ///
@@ -337,14 +362,72 @@ impl Adversary {
         B: Behavior + Clone + Hash,
         B::Message: Clone + Hash,
     {
+        self.run_all(ring, &[objective])
+            .pop()
+            .expect("one objective, one answer")
+    }
+
+    /// Finds the exact worst case of every objective in `objectives`, in
+    /// order, from one walk of the configuration graph (see the [module
+    /// docs](self#one-walk-every-objective)). Each answer — value,
+    /// witness, counters or error — equals what [`Adversary::run`] gives
+    /// for that objective alone; repeated objectives repeat the answer.
+    pub fn run_all<B>(
+        &self,
+        ring: &Ring<B>,
+        objectives: &[Objective],
+    ) -> Vec<Result<WorstCase, AdversaryError>>
+    where
+        B: Behavior + Clone + Hash,
+        B::Message: Clone + Hash,
+    {
+        if objectives.is_empty() {
+            return Vec::new();
+        }
+        let mut slots: Vec<Objective> = Vec::with_capacity(SLOTS);
+        for &objective in objectives {
+            if !slots.contains(&objective) {
+                slots.push(objective);
+            }
+        }
+        let (mut answers, evicted) = self.walk(ring, &slots);
+        if let Some(slot) = evicted {
+            // The evicted objective's own search prunes where the fused
+            // walk could not; it runs alone, after the fused walk's
+            // memo is gone.
+            answers[slot] = self.run(ring, slots[slot]);
+        }
+        objectives
+            .iter()
+            .map(|objective| {
+                let slot = slots.iter().position(|s| s == objective);
+                answers[slot.expect("every objective has a slot")].clone()
+            })
+            .collect()
+    }
+
+    /// One walk answering every objective in `slots` (distinct, at most
+    /// [`SLOTS`]). Also returns the slot that left the walk at its first
+    /// bound prune, if one did; its answer is left unset.
+    fn walk<B>(
+        &self,
+        ring: &Ring<B>,
+        slots: &[Objective],
+    ) -> (Vec<Result<WorstCase, AdversaryError>>, Option<usize>)
+    where
+        B: Behavior + Clone + Hash,
+        B::Message: Clone + Hash,
+    {
         let mut walk = Walk::new(ring, self.symmetry, self.limits.max_depth);
         let root_fp = walk.cache.fingerprint(&walk.ring);
-        let root_acc = match objective {
-            Objective::PeakMemoryBits => walk.ring.metrics().peak_memory_bits() as u64,
-            _ => 0,
-        };
+        let mut root_acc = [0; SLOTS];
+        for (acc, &objective) in root_acc.iter_mut().zip(slots) {
+            if objective == Objective::PeakMemoryBits {
+                *acc = walk.ring.metrics().peak_memory_bits() as u64;
+            }
+        }
         let mut search = Search {
-            objective,
+            objectives: slots.to_vec(),
             max_states: self.limits.max_states,
             // The move-bound prune is admissible only when the per-agent
             // hints are: [`Behavior::max_remaining_moves`] promises a
@@ -353,12 +436,15 @@ impl Adversary {
             // walk longer), so the prune arms only for the moves
             // objective on fault-free plans. Other objectives have no
             // per-agent bound at all.
-            bound_prune: self.bound_prune
-                && objective == Objective::TotalMoves
-                && walk.ring.fault_plan().is_empty(),
+            prune_slot: slots
+                .iter()
+                .position(|&o| o == Objective::TotalMoves)
+                .filter(|_| self.bound_prune && walk.ring.fault_plan().is_empty()),
+            evicted: None,
             visited: HashMap::default(),
-            worst: WorstCase {
-                objective,
+            solved: vec![0; slots.len()],
+            stats: WorstCase {
+                objective: slots[0],
                 value: 0,
                 witness: Vec::new(),
                 terminal_fingerprint: root_fp,
@@ -369,68 +455,34 @@ impl Adversary {
                 terminal_hits: 0,
                 max_depth_seen: 0,
             },
-            root_rem: 0,
+            root_rem: [0; SLOTS],
         };
-        search.visited.insert(root_fp, Entry::OnPath);
+        search.visited.insert(root_fp, ON_PATH);
         if walk.ring.enabled_activations().is_empty() {
             // Quiescent start: the empty schedule is the only (and worst)
             // schedule.
-            search.worst.value = root_acc;
-            search.worst.terminal_hits = 1;
-            return Ok(search.worst);
+            search.stats.terminal_hits = 1;
+        } else if let ControlFlow::Break(err) =
+            walk.run(&mut search, root_fp, 0, Node::default(), None)
+        {
+            return (vec![Err(err); slots.len()], search.evicted);
         }
-        if let ControlFlow::Break(err) = walk.run(&mut search, root_fp, 0, Node::default(), None) {
-            return Err(err);
-        }
-        let Search {
-            visited,
-            mut worst,
-            root_rem,
-            ..
-        } = search;
-        worst.max_depth_seen = walk.max_depth_seen;
-        worst.value = combine(objective, root_acc, root_rem);
-
-        // Witness reconstruction: the walk is back at the root (the final
-        // pop undid every step), and every reachable state's remaining
-        // value is memoised. Descend greedily along children attaining
-        // the Bellman maximum; the path is an enabled-activation
-        // sequence by construction, hence replayable.
-        let (cur, cache) = (&mut walk.ring, &mut walk.cache);
-        let mut need = root_rem;
-        loop {
-            if cur.enabled_activations().is_empty() {
-                worst.terminal_fingerprint = cache.fingerprint(cur);
-                break;
-            }
-            let acts: Vec<Activation> = cur.enabled_activations().to_vec();
-            let mut advanced = false;
-            for act in acts {
-                let undo = cur.apply(act);
-                let patch = cache.patch(cur, &undo);
-                let fp = cache.fingerprint(cur);
-                let gain = gain(objective, act, &undo, cur);
-                // A child absent from the map was bound-pruned (never
-                // expanded): the prune certified a solved sibling
-                // attains at least its best possible contribution, so
-                // skipping it cannot lose the Bellman optimum.
-                if let Some(Entry::Done(rem)) = visited.get(&fp) {
-                    if combine(objective, gain, *rem) == need {
-                        worst.witness.push(act);
-                        need = *rem;
-                        advanced = true;
-                        break;
-                    }
+        search.stats.max_depth_seen = walk.max_depth_seen;
+        let answers = (0..slots.len())
+            .map(|slot| {
+                let objective = slots[slot];
+                let mut worst = WorstCase {
+                    objective,
+                    value: combine(objective, root_acc[slot], search.root_rem[slot]),
+                    ..search.stats.clone()
+                };
+                if search.evicted != Some(slot) {
+                    search.witness(&mut walk, slot, &mut worst);
                 }
-                cache.revert(patch);
-                cur.undo(undo);
-            }
-            assert!(
-                advanced,
-                "witness descent must follow the Bellman optimum (rem is exact)"
-            );
-        }
-        Ok(worst)
+                Ok(worst)
+            })
+            .collect();
+        (answers, search.evicted)
     }
 }
 
@@ -458,27 +510,108 @@ fn gain<B: Behavior>(
     }
 }
 
-/// The payload of one live state on the search path.
+/// The payload of one live state on the search path, one value per
+/// objective slot.
 #[derive(Default)]
 struct Node {
-    /// Objective contribution of the activation that entered this state
-    /// (unused on the root).
-    gain: u64,
+    /// Objective contributions of the activation that entered this
+    /// state (unused on the root).
+    gain: Values,
     /// `max_a combine(gain(a), rem(child_a))` over the children solved
     /// so far — `rem` of this state once all are done.
-    best_rem: u64,
+    best_rem: Values,
 }
 
-/// The [`Visitor`] of [`Adversary::run`]: the remaining-value memo, the
-/// Bellman maximum and the admissible move-bound prune.
+/// The [`Visitor`] of [`Adversary::run_all`]: the remaining-value memo,
+/// the Bellman maxima of every objective and the admissible move-bound
+/// prune.
 struct Search {
-    objective: Objective,
+    /// The walk's objectives, one per slot.
+    objectives: Vec<Objective>,
     max_states: usize,
-    bound_prune: bool,
-    visited: HashMap<u64, Entry, FpBuildHasher>,
-    worst: WorstCase,
-    /// `rem(C_0)`, set when the root is left.
-    root_rem: u64,
+    /// The [`Objective::TotalMoves`] slot while its bound prune is armed.
+    prune_slot: Option<usize>,
+    /// The slot that left the walk where its prune would first have cut
+    /// a child the other objectives still need. Its values are stale
+    /// from there on.
+    evicted: Option<usize>,
+    /// Per fingerprint: [`ON_PATH`] or the state's row in `solved`.
+    visited: HashMap<u64, usize, FpBuildHasher>,
+    /// Solved remaining values, one row of `objectives.len()` values per
+    /// solved non-terminal state; row [`TERMINAL_ROW`] is all zeros.
+    solved: Vec<u64>,
+    /// The counters every objective's answer shares.
+    stats: WorstCase,
+    /// `rem(C_0)` per slot, set when the root is left.
+    root_rem: Values,
+}
+
+impl Search {
+    /// The solved remaining value of row `row` for `slot`.
+    fn rem(&self, row: usize, slot: usize) -> u64 {
+        self.solved[row * self.objectives.len() + slot]
+    }
+
+    /// Folds a solved child — entering gains `gain`, remaining values in
+    /// row `row` — into its parent's running maxima.
+    fn fold(&self, parent: &mut Values, gain: &Values, row: usize) {
+        for (slot, &objective) in self.objectives.iter().enumerate() {
+            let value = combine(objective, gain[slot], self.rem(row, slot));
+            parent[slot] = parent[slot].max(value);
+        }
+    }
+
+    /// Witness reconstruction for `slot` into `worst`. The walk is back
+    /// at the root (the final pop undid every step), and every reachable
+    /// state's remaining value is memoised. Descend greedily along
+    /// children attaining the Bellman maximum — the path is an
+    /// enabled-activation sequence by construction, hence replayable —
+    /// then climb back to the root for the next slot.
+    fn witness<B>(&self, walk: &mut Walk<B, Node>, slot: usize, worst: &mut WorstCase)
+    where
+        B: Behavior + Clone + Hash,
+        B::Message: Clone + Hash,
+    {
+        let objective = self.objectives[slot];
+        let (cur, cache) = (&mut walk.ring, &mut walk.cache);
+        let mut path = Vec::new();
+        let mut need = self.root_rem[slot];
+        while !cur.enabled_activations().is_empty() {
+            let acts: Vec<Activation> = cur.enabled_activations().to_vec();
+            let mut advanced = false;
+            for act in acts {
+                let undo = cur.apply(act);
+                let patch = cache.patch(cur, &undo);
+                let fp = cache.fingerprint(cur);
+                let gain = gain(objective, act, &undo, cur);
+                // A child absent from the map was bound-pruned (never
+                // expanded): the prune certified a solved sibling
+                // attains at least its best possible contribution, so
+                // skipping it cannot lose the Bellman optimum.
+                if let Some(&row) = self.visited.get(&fp) {
+                    let rem = self.rem(row, slot);
+                    if combine(objective, gain, rem) == need {
+                        worst.witness.push(act);
+                        need = rem;
+                        path.push((undo, patch));
+                        advanced = true;
+                        break;
+                    }
+                }
+                cache.revert(patch);
+                cur.undo(undo);
+            }
+            assert!(
+                advanced,
+                "witness descent must follow the Bellman optimum (rem is exact)"
+            );
+        }
+        worst.terminal_fingerprint = cache.fingerprint(cur);
+        for (undo, patch) in path.into_iter().rev() {
+            cache.revert(patch);
+            cur.undo(undo);
+        }
+    }
 }
 
 impl<B> Visitor<B> for Search
@@ -499,86 +632,97 @@ where
         child: Child<'_, B>,
         parent: &mut Node,
     ) -> ControlFlow<AdversaryError, Option<Node>> {
-        let objective = self.objective;
-        let gain = gain(objective, child.act, child.undo, child.ring);
+        let mut gains = [0; SLOTS];
+        for (g, &objective) in gains.iter_mut().zip(&self.objectives) {
+            *g = gain(objective, child.act, child.undo, child.ring);
+        }
         let terminal = child.ring.enabled_activations().is_empty();
-        let worst = &mut self.worst;
+        let stats = &mut self.stats;
         let solved = match self.visited.entry(child.fp) {
             std::collections::hash_map::Entry::Occupied(seen) => match *seen.get() {
                 // Re-encountering a path state closes a concrete cycle
                 // (Rotation mode: a quotient cycle, which lifts to a
                 // concrete one — see crate::canonical).
-                Entry::OnPath => {
+                ON_PATH => {
                     return ControlFlow::Break(AdversaryError::CycleDetected { depth: child.depth })
                 }
                 // Memo hit: the subtree is already solved; fold its exact
-                // remaining value in O(1).
-                Entry::Done(rem) => {
-                    worst.dominance_prunes += 1;
+                // remaining values in O(1).
+                row => {
+                    stats.dominance_prunes += 1;
                     if terminal {
-                        worst.terminal_hits += 1;
+                        stats.terminal_hits += 1;
                     }
-                    Some(rem)
+                    Some(row)
                 }
             },
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                if terminal {
-                    // Terminals are solved on sight: nothing remains.
-                    worst.distinct_states += 1;
-                    worst.expansions += 1;
-                    worst.terminal_hits += 1;
-                    slot.insert(Entry::Done(0));
-                    Some(0)
-                } else if self.bound_prune
-                    && child.ring.max_remaining_moves().is_some_and(|ub| {
-                        // `best_rem > 0` certifies the bound was
-                        // *attained* by an already-memoised sibling (it
-                        // starts at 0 and only solved children raise it);
-                        // the witness descent relies on that attainer
-                        // existing when it skips this never-memoised
-                        // child.
-                        parent.best_rem > 0 && combine(objective, gain, ub) <= parent.best_rem
-                    })
-                {
+            std::collections::hash_map::Entry::Vacant(entry) => {
+                let prunable = !terminal
+                    && self.prune_slot.is_some_and(|slot| {
+                        child.ring.max_remaining_moves().is_some_and(|ub| {
+                            // `best_rem > 0` certifies the bound was
+                            // *attained* by an already-memoised sibling
+                            // (it starts at 0 and only solved children
+                            // raise it); the witness descent relies on
+                            // that attainer existing when it skips this
+                            // never-memoised child.
+                            let best = parent.best_rem[slot];
+                            best > 0 && combine(Objective::TotalMoves, gains[slot], ub) <= best
+                        })
+                    });
+                if prunable && self.objectives.len() == 1 {
                     // Admissible prune: even if every remaining move the
                     // child's agents can make counts, the subtree cannot
                     // beat a value a solved sibling already achieves. The
                     // child is *not* entered into the visited map —
                     // another path may still reach and solve it exactly.
-                    worst.bound_prunes += 1;
+                    stats.bound_prunes += 1;
                     return ControlFlow::Continue(None);
+                }
+                if prunable {
+                    // The other objectives need this subtree: the pruned
+                    // objective leaves the walk here, where its own
+                    // search first diverges, and is searched alone.
+                    self.evicted = self.prune_slot.take();
+                }
+                stats.distinct_states += 1;
+                stats.expansions += 1;
+                if terminal {
+                    // Terminals are solved on sight: nothing remains.
+                    stats.terminal_hits += 1;
+                    entry.insert(TERMINAL_ROW);
+                    Some(TERMINAL_ROW)
                 } else {
-                    worst.distinct_states += 1;
-                    worst.expansions += 1;
-                    slot.insert(Entry::OnPath);
+                    entry.insert(ON_PATH);
                     None
                 }
             }
         };
-        if worst.expansions > self.max_states {
+        if self.stats.expansions > self.max_states {
             let limit = limit_exceeded(self.max_states);
             return ControlFlow::Break(AdversaryError::LimitExceeded(limit));
         }
         match solved {
-            Some(rem) => {
-                parent.best_rem = parent.best_rem.max(combine(objective, gain, rem));
+            Some(row) => {
+                self.fold(&mut parent.best_rem, &gains, row);
                 ControlFlow::Continue(None)
             }
-            None => ControlFlow::Continue(Some(Node { gain, best_rem: 0 })),
+            None => ControlFlow::Continue(Some(Node {
+                gain: gains,
+                best_rem: [0; SLOTS],
+            })),
         }
     }
 
-    /// All children solved: the state's remaining value is final. Record
-    /// it and fold it into the parent.
+    /// All children solved: the state's remaining values are final.
+    /// Record them and fold them into the parent.
     fn leave(&mut self, fp: u64, node: Node, parent: Option<&mut Node>) {
-        self.visited.insert(fp, Entry::Done(node.best_rem));
+        let row = self.solved.len() / self.objectives.len();
+        self.solved
+            .extend_from_slice(&node.best_rem[..self.objectives.len()]);
+        self.visited.insert(fp, row);
         match parent {
-            Some(parent) => {
-                parent.best_rem =
-                    parent
-                        .best_rem
-                        .max(combine(self.objective, node.gain, node.best_rem));
-            }
+            Some(parent) => self.fold(&mut parent.best_rem, &node.gain, row),
             None => self.root_rem = node.best_rem,
         }
     }

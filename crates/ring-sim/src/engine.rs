@@ -15,7 +15,7 @@ use crate::agent::{Behavior, Observation};
 use crate::config::Place;
 use crate::error::SimError;
 use crate::fault::{EdgeFault, FaultPlan};
-use crate::initial::InitialConfig;
+use crate::initial::{InitialConfig, MAX_AGENTS, MAX_NODES};
 use crate::metrics::Metrics;
 use crate::scheduler::{Activation, Scheduler};
 use crate::trace::{Event, Trace};
@@ -508,8 +508,9 @@ impl<B: Behavior> Ring<B> {
     pub fn new(init: &InitialConfig, mut make_behavior: impl FnMut(AgentId) -> B) -> Self {
         let n = init.ring_size();
         let k = init.agent_count();
+        // InitialConfig::check_size refuses larger instances.
         assert!(
-            n <= u16::MAX as usize + 1 && k <= u16::MAX as usize,
+            n <= MAX_NODES && k <= MAX_AGENTS,
             "packed agent words index nodes and agents with u16 (n = {n}, k = {k})"
         );
         let mut links: Vec<VecDeque<AgentId>> = vec![VecDeque::new(); n];

@@ -31,7 +31,23 @@ pub enum InitialConfigError {
         /// The duplicated home node index.
         home: usize,
     },
+    /// The ring or the agent count exceeds what the engine's packed
+    /// agent words can index ([`MAX_NODES`], [`MAX_AGENTS`]).
+    TooLarge {
+        /// Ring size.
+        nodes: usize,
+        /// Number of agents.
+        agents: usize,
+    },
 }
+
+/// The largest ring the engine runs: packed agent words index nodes
+/// with a `u16`.
+pub const MAX_NODES: usize = u16::MAX as usize + 1;
+
+/// The most agents the engine runs: packed agent words index agents
+/// with a `u16`.
+pub const MAX_AGENTS: usize = u16::MAX as usize;
 
 impl fmt::Display for InitialConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -47,6 +63,11 @@ impl fmt::Display for InitialConfigError {
             InitialConfigError::DuplicateHome { home } => {
                 write!(f, "home node {home} used by more than one agent")
             }
+            InitialConfigError::TooLarge { nodes, agents } => write!(
+                f,
+                "{agents} agents on {nodes} nodes exceed the engine's limits \
+                 (at most {MAX_NODES} nodes and {MAX_AGENTS} agents)"
+            ),
         }
     }
 }
@@ -87,21 +108,11 @@ impl InitialConfig {
     ///
     /// # Errors
     ///
-    /// Returns an [`InitialConfigError`] if the ring is empty, there are no
-    /// agents, `k > n`, a home is out of range, or homes are not distinct.
+    /// Returns an [`InitialConfigError`] if the sizes fail
+    /// [`InitialConfig::check_size`], a home is out of range, or homes
+    /// are not distinct.
     pub fn new(n: usize, homes: Vec<usize>) -> Result<Self, InitialConfigError> {
-        if n == 0 {
-            return Err(InitialConfigError::EmptyRing);
-        }
-        if homes.is_empty() {
-            return Err(InitialConfigError::NoAgents);
-        }
-        if homes.len() > n {
-            return Err(InitialConfigError::TooManyAgents {
-                agents: homes.len(),
-                nodes: n,
-            });
-        }
+        Self::check_size(n, homes.len())?;
         let mut seen = vec![false; n];
         for &h in &homes {
             if h >= n {
@@ -117,6 +128,36 @@ impl InitialConfig {
             homes,
             faults: FaultPlan::none(),
         })
+    }
+
+    /// Checks the sizes of an `n`-node ring with `k` agents — the checks
+    /// [`InitialConfig::new`] makes before it looks at any home, so
+    /// callers can refuse an instance before generating it.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`InitialConfigError`] if the ring is empty, there are
+    /// no agents, `k > n`, or the ring exceeds the engine's limits.
+    pub fn check_size(n: usize, k: usize) -> Result<(), InitialConfigError> {
+        if n == 0 {
+            return Err(InitialConfigError::EmptyRing);
+        }
+        if k == 0 {
+            return Err(InitialConfigError::NoAgents);
+        }
+        if k > n {
+            return Err(InitialConfigError::TooManyAgents {
+                agents: k,
+                nodes: n,
+            });
+        }
+        if n > MAX_NODES || k > MAX_AGENTS {
+            return Err(InitialConfigError::TooLarge {
+                nodes: n,
+                agents: k,
+            });
+        }
+        Ok(())
     }
 
     /// Attaches a fault plan: the engine built from this configuration
@@ -224,6 +265,25 @@ mod tests {
         assert_eq!(
             InitialConfig::new(4, vec![1, 1]),
             Err(InitialConfigError::DuplicateHome { home: 1 })
+        );
+    }
+
+    #[test]
+    fn sizes_past_the_engine_limits_are_refused() {
+        assert!(InitialConfig::new(MAX_NODES, vec![0, MAX_NODES - 1]).is_ok());
+        for (nodes, agents) in [(MAX_NODES + 1, 2), (usize::MAX, 1)] {
+            assert_eq!(
+                InitialConfig::new(nodes, (0..agents).collect()),
+                Err(InitialConfigError::TooLarge { nodes, agents })
+            );
+        }
+        let every_node: Vec<usize> = (0..MAX_NODES).collect();
+        assert_eq!(
+            InitialConfig::new(MAX_NODES, every_node),
+            Err(InitialConfigError::TooLarge {
+                nodes: MAX_NODES,
+                agents: MAX_NODES
+            })
         );
     }
 

@@ -18,6 +18,13 @@
 //! the next completion — the actor never blocks) → rows emitted in
 //! **cell order** as the contiguous ready prefix grows → `done`.
 //!
+//! A dispatched miss takes the job's later undispatched, cache-missing
+//! cells of the same search along ([`engine::shares_search`]: the same
+//! instance, another objective) as one work item; the worker computes
+//! the group once and posts one [`CellDone`] per cell. Every cell is
+//! probed, counted as a miss at most once, cached under its own key
+//! and counted in `cells_computed`.
+//!
 //! A failed cell emits `error` and cancels the job's remaining cells; a
 //! job overrunning its `timeout_ms` deadline emits `timeout` and is
 //! cancelled the same way; a closed connection cancels its jobs
@@ -44,6 +51,7 @@ use ringdeploy_analysis::key::InstanceKey;
 use ringdeploy_json::{Json, ToJson};
 
 use crate::cache::ResultCache;
+use crate::engine;
 use crate::pool::{WorkItem, WorkerPool};
 use crate::protocol::{parse_request, Backpressure, Request, Response, RowFrame, StatsReport};
 
@@ -161,10 +169,8 @@ struct Job {
     canon: Vec<String>,
     /// Cells up to (exclusive) this index are cache-probed/dispatched.
     next_dispatch: usize,
-    /// The cell at `next_dispatch` already missed the cache: its
-    /// dispatch stalled on a full queue, and the re-probe on wake must
-    /// not count the miss again.
-    missed: bool,
+    /// Where each cell stands in cache probing and dispatch.
+    probes: Vec<Probe>,
     /// Rows up to (exclusive) this index are delivered.
     emitted: usize,
     /// Cells currently in the worker queue or being computed.
@@ -181,6 +187,20 @@ struct Job {
     /// the instant (measured from admission) past which the job is
     /// cancelled with a `timeout` frame.
     deadline: Option<Instant>,
+}
+
+/// Where one cell of a job stands in cache probing and dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// Not probed yet.
+    Fresh,
+    /// Missed the cache and is not dispatched yet (its dispatch stalled
+    /// on a full queue); the re-probe on wake must not count the miss
+    /// again.
+    Missed,
+    /// Served from the cache or dispatched — possibly ahead of the
+    /// frontier, with an earlier cell's search group.
+    Taken,
 }
 
 /// The actor: owns all state, processes [`Event`]s. See the
@@ -499,6 +519,7 @@ impl Daemon {
         let internal = self.next_job;
         self.next_job += 1;
         let canon = keys.iter().map(InstanceKey::canonical).collect();
+        let probes = vec![Probe::Fresh; keys.len()];
         let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
         self.send_to(
             conn,
@@ -515,7 +536,7 @@ impl Daemon {
                 keys,
                 canon,
                 next_dispatch: 0,
-                missed: false,
+                probes,
                 emitted: 0,
                 in_flight: 0,
                 hits: 0,
@@ -552,29 +573,39 @@ impl Daemon {
             return;
         };
 
-        // Phase 1: probe the cache / dispatch misses, in cell order.
+        // Phase 1: probe the cache / dispatch misses, in cell order. A
+        // missed cell takes the job's later cache-missing cells of the
+        // same search along, as one work item.
         while !job.canceled && job.next_dispatch < job.keys.len() {
             let cell = job.next_dispatch;
-            let probe = self.cache.lookup(&job.canon[cell], !job.missed);
-            job.missed = false;
-            if let Some(payload) = probe {
-                job.ready.insert(cell, (true, Ok(payload)));
-                job.hits += 1;
+            if job.probes[cell] == Probe::Taken || self.probe_cache(&mut job, cell) {
                 job.next_dispatch += 1;
                 continue;
             }
+            let mut cells = vec![cell];
+            for other in cell + 1..job.keys.len() {
+                if job.probes[other] != Probe::Taken
+                    && engine::shares_search(&job.keys[cell], &job.keys[other])
+                    && !self.probe_cache(&mut job, other)
+                {
+                    cells.push(other);
+                }
+            }
             let item = WorkItem {
                 job: id,
-                cell,
-                key: job.keys[cell].clone(),
+                keys: cells.iter().map(|&c| job.keys[c].clone()).collect(),
+                cells,
             };
+            let cells = item.cells.clone();
             match self.pool.as_ref().expect("pool alive").try_dispatch(item) {
                 Ok(()) => {
-                    job.in_flight += 1;
+                    job.in_flight += cells.len();
+                    for cell in cells {
+                        job.probes[cell] = Probe::Taken;
+                    }
                     job.next_dispatch += 1;
                 }
                 Err(_full) => {
-                    job.missed = true;
                     self.stalled.insert(id);
                     break;
                 }
@@ -640,6 +671,24 @@ impl Daemon {
             self.admit_waiting();
         } else {
             self.jobs.insert(id, job);
+        }
+    }
+
+    /// Probes the cache for `cell` of `job`, counting a miss only on
+    /// the cell's first probe. A hit makes the cell's row ready.
+    fn probe_cache(&mut self, job: &mut Job, cell: usize) -> bool {
+        let count_miss = job.probes[cell] == Probe::Fresh;
+        match self.cache.lookup(&job.canon[cell], count_miss) {
+            Some(payload) => {
+                job.ready.insert(cell, (true, Ok(payload)));
+                job.hits += 1;
+                job.probes[cell] = Probe::Taken;
+                true
+            }
+            None => {
+                job.probes[cell] = Probe::Missed;
+                false
+            }
         }
     }
 

@@ -1,4 +1,11 @@
-//! The compute kernel: one [`InstanceKey`] in, one rendered report out.
+//! The compute kernel: [`InstanceKey`]s in, one rendered report per key
+//! out.
+//!
+//! [`compute_group`] answers several keys that [`shares_search`] —
+//! adversary or certify keys of one instance that differ only in
+//! `objective` — from one search ([`worst_case_all`], [`certify_all`];
+//! DESIGN.md §0.13). Each report is byte-identical to the one-key
+//! [`compute`], so grouping never changes a cached payload.
 //!
 //! This is the *only* place the service invokes the verification
 //! engines, and it deliberately pins every free parameter so the result
@@ -19,7 +26,9 @@
 //! any payload a client receives.
 
 use ringdeploy_analysis::key::{InstanceKey, JobKind};
-use ringdeploy_analysis::{certify_one, explore_one_serial, worst_case_one, CertifySettings};
+use ringdeploy_analysis::{
+    certify_all, explore_one_serial, worst_case_all, CertifySettings, Objective,
+};
 use ringdeploy_core::Deployment;
 use ringdeploy_json::{Json, ToJson};
 use ringdeploy_sim::adversary::Adversary;
@@ -27,68 +36,156 @@ use ringdeploy_sim::explore::{ExploreLimits, Explorer, SymmetryMode};
 use ringdeploy_sim::InitialConfig;
 
 /// Computes the report for `key`. Deterministic: equal keys produce
-/// byte-identical rendered payloads.
+/// byte-identical rendered payloads. The one-key case of
+/// [`compute_group`].
 ///
 /// # Errors
 ///
 /// Returns a human-readable message for invalid workload parameters or
 /// engine failures; the daemon turns it into an `error` frame.
 pub fn compute(key: &InstanceKey) -> Result<Json, String> {
-    let init = instantiate(key)?;
+    compute_group(std::slice::from_ref(key))
+        .pop()
+        .expect("one key, one report")
+}
+
+/// Whether `a` and `b` can share one search in [`compute_group`]: both
+/// are adversary or certify keys, equal in everything but `objective`.
+pub fn shares_search(a: &InstanceKey, b: &InstanceKey) -> bool {
+    // Destructured in full, so a new key field must decide here whether
+    // it splits a search.
+    let InstanceKey {
+        kind,
+        algorithm,
+        workload,
+        schedule,
+        seed,
+        objective: _,
+        tier,
+        faults,
+    } = a;
+    matches!(kind, JobKind::Adversary | JobKind::Certify)
+        && (kind, algorithm, workload, schedule, seed, tier, faults)
+            == (
+                &b.kind,
+                &b.algorithm,
+                &b.workload,
+                &b.schedule,
+                &b.seed,
+                &b.tier,
+                &b.faults,
+            )
+}
+
+/// Computes the reports of `keys`, in order, with one search for the
+/// whole group: [`worst_case_all`] for adversary keys, [`certify_all`]
+/// for certify keys. Report `i` is byte-identical to
+/// [`compute`]`(&keys[i])`.
+///
+/// # Panics
+///
+/// If two keys do not [`shares_search`] (a group of one is always
+/// fine).
+pub fn compute_group(keys: &[InstanceKey]) -> Vec<Result<Json, String>> {
+    let Some(first) = keys.first() else {
+        return Vec::new();
+    };
+    assert!(
+        keys.len() == 1 || keys.iter().all(|key| shares_search(first, key)),
+        "a compute group must differ in objective only"
+    );
+    let labelled = |result: Result<Json, String>, key: &InstanceKey| {
+        result.map_err(|e| format!("{}: {e}", key.label()))
+    };
+    let init = match instantiate(first) {
+        Ok(init) => init,
+        Err(e) => {
+            return keys
+                .iter()
+                .map(|key| labelled(Err(e.clone()), key))
+                .collect()
+        }
+    };
     let n = init.ring_size();
     let k = init.agent_count();
-    let fingerprint = key.fingerprint();
-    match key.kind {
-        JobKind::Sweep => {
-            let schedule = key
-                .schedule
-                .ok_or_else(|| format!("{}: sweep key has no schedule", key.label()))?;
-            let mut report = Deployment::of(&init)
-                .algorithm(key.algorithm)
-                .run_preset(schedule)
-                .map_err(|e| format!("{}: {e}", key.label()))?;
-            report.instance_fingerprint = Some(fingerprint);
-            Ok(report.to_json())
-        }
+    let fingerprint = first.fingerprint();
+    let reports: Vec<Result<Json, String>> = match first.kind {
+        JobKind::Sweep => vec![first
+            .schedule
+            .ok_or_else(|| "sweep key has no schedule".to_string())
+            .and_then(|schedule| {
+                Deployment::of(&init)
+                    .algorithm(first.algorithm)
+                    .run_preset(schedule)
+                    .map_err(|e| e.to_string())
+            })
+            .map(|mut report| {
+                report.instance_fingerprint = Some(fingerprint);
+                report.to_json()
+            })],
         JobKind::Explore => {
             let explorer = Explorer::new().limits(ExploreLimits::for_instance(n, k));
-            let mut report = explore_one_serial(key.algorithm, &init, &explorer)
-                .map_err(|e| format!("{}: {e}", key.label()))?;
-            report.instance_fingerprint = Some(fingerprint);
-            Ok(report.to_json())
+            vec![explore_one_serial(first.algorithm, &init, &explorer)
+                .map_err(|e| e.to_string())
+                .map(|mut report| {
+                    report.instance_fingerprint = Some(fingerprint);
+                    report.to_json()
+                })]
         }
-        JobKind::Adversary => {
-            let objective = key
-                .objective
-                .ok_or_else(|| format!("{}: adversary key has no objective", key.label()))?;
-            let adversary = Adversary::new()
-                .limits(ExploreLimits::for_instance(n, k))
-                .symmetry(SymmetryMode::Rotation);
-            let worst = worst_case_one(key.algorithm, &init, &adversary, objective)
-                .map_err(|e| format!("{}: {e}", key.label()))?;
-            // `WorstCase` has no instance_fingerprint field; the row
-            // frame carries the fingerprint alongside the payload.
-            Ok(worst.to_json())
-        }
-        JobKind::Certify => {
-            let objective = key
-                .objective
-                .ok_or_else(|| format!("{}: certify key has no objective", key.label()))?;
-            let tier = key
-                .tier
-                .ok_or_else(|| format!("{}: certify key has no tier", key.label()))?;
-            let mut cert = certify_one(
-                key.algorithm,
+        JobKind::Adversary => match objectives(keys, "adversary") {
+            Err(e) => vec![Err(e); keys.len()],
+            Ok(objectives) => {
+                let adversary = Adversary::new()
+                    .limits(ExploreLimits::for_instance(n, k))
+                    .symmetry(SymmetryMode::Rotation);
+                worst_case_all(first.algorithm, &init, &adversary, &objectives)
+                    .into_iter()
+                    // `WorstCase` has no instance_fingerprint field; the
+                    // row frame carries the fingerprint alongside the
+                    // payload.
+                    .map(|worst| {
+                        worst
+                            .map(|worst| worst.to_json())
+                            .map_err(|e| e.to_string())
+                    })
+                    .collect()
+            }
+        },
+        JobKind::Certify => match (objectives(keys, "certify"), first.tier) {
+            (Err(e), _) => vec![Err(e); keys.len()],
+            (Ok(_), None) => vec![Err("certify key has no tier".to_string()); keys.len()],
+            (Ok(objectives), Some(tier)) => certify_all(
+                first.algorithm,
                 &init,
-                objective,
+                &objectives,
                 tier,
                 &CertifySettings::default(),
             )
-            .map_err(|e| format!("{}: {e}", key.label()))?;
-            cert.instance_fingerprint = Some(fingerprint);
-            Ok(cert.to_json())
-        }
-    }
+            .into_iter()
+            .zip(keys)
+            .map(|(cert, key)| {
+                cert.map_err(|e| e.to_string()).map(|mut cert| {
+                    cert.instance_fingerprint = Some(key.fingerprint());
+                    cert.to_json()
+                })
+            })
+            .collect(),
+        },
+    };
+    reports
+        .into_iter()
+        .zip(keys)
+        .map(|(report, key)| labelled(report, key))
+        .collect()
+}
+
+/// The objectives of a search group's keys, in order; an error if one
+/// of the (`kind`) keys has none.
+fn objectives(keys: &[InstanceKey], kind: &str) -> Result<Vec<Objective>, String> {
+    keys.iter()
+        .map(|key| key.objective)
+        .collect::<Option<_>>()
+        .ok_or_else(|| format!("{kind} key has no objective"))
 }
 
 /// Instantiates the key's workload, converting generator panics (the
@@ -105,7 +202,7 @@ fn instantiate(key: &InstanceKey) -> Result<InitialConfig, String> {
                 .map(String::as_str)
                 .or_else(|| panic.downcast_ref::<&str>().copied())
                 .unwrap_or("invalid parameters");
-            format!("{}: workload rejected: {detail}", key.label())
+            format!("workload rejected: {detail}")
         })
 }
 

@@ -8,21 +8,24 @@
 //! event frees a slot — the actor thread never blocks). Workers catch
 //! panics, so one malformed cell cannot take a worker down.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{Sender, SyncSender, TrySendError};
 use std::thread::JoinHandle;
 
 use ringdeploy_analysis::key::InstanceKey;
+use ringdeploy_json::Json;
 
 use crate::daemon::{CellDone, Event};
 use crate::engine;
 
 /// Deliberate fault injection for the chaos CI drill: when
-/// `RINGDEPLOYD_CHAOS_PANIC` is set (non-empty), any cell whose key
-/// label contains the value panics mid-compute. The panic is caught by
-/// the worker like any other, counted in
-/// [`StatsReport::panics`](crate::protocol::StatsReport), and surfaced
-/// to the client as a normal cell error — the drill proves one
-/// poisoned cell cannot take a worker (or the daemon) down.
+/// `RINGDEPLOYD_CHAOS_PANIC` is set (non-empty), any work item holding
+/// a key whose label contains the value panics mid-compute. The panic
+/// is caught by the worker like any other, counted in
+/// [`StatsReport::panics`](crate::protocol::StatsReport) once per cell
+/// of the item, and surfaced to the client as a normal cell error — the
+/// drill proves one poisoned cell cannot take a worker (or the daemon)
+/// down.
 fn chaos_panic_hook(key: &InstanceKey) {
     if let Ok(needle) = std::env::var("RINGDEPLOYD_CHAOS_PANIC") {
         if !needle.is_empty() && key.label().contains(&needle) {
@@ -31,15 +34,45 @@ fn chaos_panic_hook(key: &InstanceKey) {
     }
 }
 
-/// One unit of work: compute the report of `key` for cell `cell` of
-/// job `job` (the daemon's internal job id).
+/// One unit of work: compute the reports of `keys` for cells `cells`
+/// (one per key) of job `job` (the daemon's internal job id). The keys
+/// are one cell's, or several that [`engine::shares_search`] and are
+/// computed by one search ([`engine::compute_group`]).
 pub struct WorkItem {
     /// Internal job id.
     pub job: u64,
-    /// Cell index within the job.
-    pub cell: usize,
+    /// Cell indices within the job, one per key.
+    pub cells: Vec<usize>,
     /// What to compute.
-    pub key: InstanceKey,
+    pub keys: Vec<InstanceKey>,
+}
+
+/// Computes one work item: one `(cell, result, panicked)` per key. A
+/// panic anywhere in the item fails every cell of it.
+fn compute_item(item: WorkItem) -> Vec<(usize, Result<Json, String>, bool)> {
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        item.keys.iter().for_each(chaos_panic_hook);
+        engine::compute_group(&item.keys)
+    }));
+    match outcome {
+        Ok(results) => item
+            .cells
+            .into_iter()
+            .zip(results)
+            .map(|(cell, result)| (cell, result, false))
+            .collect(),
+        Err(_) => item
+            .cells
+            .into_iter()
+            .map(|cell| {
+                (
+                    cell,
+                    Err("worker panicked computing cell".to_string()),
+                    true,
+                )
+            })
+            .collect(),
+    }
 }
 
 /// The worker threads plus the bounded dispatch queue.
@@ -67,24 +100,17 @@ impl WorkerPool {
                             Ok(item) => item,
                             Err(_) => break, // queue closed: shutdown
                         };
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                chaos_panic_hook(&item.key);
-                                engine::compute(&item.key)
-                            }));
-                        let panicked = outcome.is_err();
-                        let result = outcome
-                            .unwrap_or_else(|_| Err("worker panicked computing cell".to_string()));
-                        if events
-                            .send(Event::CellDone(CellDone {
-                                job: item.job,
-                                cell: item.cell,
+                        let job = item.job;
+                        for (cell, result, panicked) in compute_item(item) {
+                            let done = CellDone {
+                                job,
+                                cell,
                                 result,
                                 panicked,
-                            }))
-                            .is_err()
-                        {
-                            break; // actor gone: shutdown
+                            };
+                            if events.send(Event::CellDone(done)).is_err() {
+                                return; // actor gone: shutdown
+                            }
                         }
                     })
                     .expect("spawn worker thread")
@@ -98,9 +124,6 @@ impl WorkerPool {
 
     /// Attempts to enqueue `item`; hands it back when the queue is full
     /// (the actor retries after the next completion event).
-    // The Err *is* the handed-back item by design; boxing it would cost
-    // an allocation per backpressure bounce on the actor's hot path.
-    #[allow(clippy::result_large_err)]
     pub fn try_dispatch(&self, item: WorkItem) -> Result<(), WorkItem> {
         let tx = self.tx.as_ref().expect("pool not shut down");
         match tx.try_send(item) {

@@ -32,7 +32,7 @@ use ringdeploy_analysis::{
 };
 use ringdeploy_core::Algorithm;
 use ringdeploy_json::{FromJson, Json, JsonError, ToJson};
-use ringdeploy_sim::FaultPlan;
+use ringdeploy_sim::{FaultPlan, InitialConfig};
 
 /// What the daemon does when a submit arrives while the concurrent-job
 /// bound ([`DaemonConfig::max_jobs`](crate::DaemonConfig)) is reached.
@@ -135,8 +135,13 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for empty dimensions.
+    /// Returns a human-readable message for empty dimensions and for
+    /// workloads whose sizes [`InitialConfig::check_size`] refuses.
     pub fn keys(&self) -> Result<Vec<InstanceKey>, String> {
+        for workload in &self.workloads {
+            InitialConfig::check_size(workload.n(), workload.k())
+                .map_err(|e| format!("{}: {e}", workload.label()))?;
+        }
         let seeds = if self.seeds.is_empty() {
             vec![0]
         } else {

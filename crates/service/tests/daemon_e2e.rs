@@ -8,10 +8,11 @@
 use std::thread::JoinHandle;
 
 use ringdeploy_analysis::key::JobKind;
-use ringdeploy_analysis::Workload;
+use ringdeploy_analysis::{Objective, Workload};
 use ringdeploy_core::Algorithm;
 use ringdeploy_service::{
-    Backpressure, Client, DaemonConfig, JobSpec, Request, Response, RowFrame, Server, StatsReport,
+    engine, Backpressure, Client, DaemonConfig, JobSpec, Request, Response, RowFrame, Server,
+    StatsReport,
 };
 
 fn start(config: DaemonConfig) -> (String, JoinHandle<StatsReport>) {
@@ -200,6 +201,155 @@ fn stalled_cells_count_one_cache_miss_each() {
     let after = stats(&mut client);
     assert_eq!(after.cells_computed, 12);
     assert_eq!(after.cache.misses, after.cells_computed);
+
+    // Grouped dispatch: four searches of three objectives each stall on
+    // the same one-slot queue; every member cell still misses once.
+    let job = search_job(
+        JobKind::Adversary,
+        &Objective::ALL,
+        &[
+            Workload::Uniform { n: 8, k: 2 },
+            Workload::QuarterRing { n: 8, k: 2 },
+            Workload::Periodic { n: 6, k: 2, l: 1 },
+            Workload::Periodic { n: 8, k: 2, l: 2 },
+        ],
+    );
+    submit(&mut client, 4, Backpressure::Block, job);
+    assert_eq!(rows(&collect_job(&mut client, 4)).len(), 12);
+    let after = stats(&mut client);
+    assert_eq!(after.cells_computed, 24);
+    assert_eq!(after.cache.misses, after.cells_computed);
+    shutdown(&mut client);
+    handle.join().expect("server thread");
+}
+
+fn search_job(kind: JobKind, objectives: &[Objective], shapes: &[Workload]) -> JobSpec {
+    JobSpec {
+        objectives: objectives.to_vec(),
+        workloads: shapes.to_vec(),
+        ..JobSpec::new(kind, Algorithm::FullKnowledge, shapes[0])
+    }
+}
+
+/// The cells of one instance that differ only in objective are computed
+/// by one search, yet stream as separate rows in cell order, each with
+/// the payload the one-cell compute gives and its own cache entry.
+#[test]
+fn objectives_of_one_instance_share_a_search() {
+    let (addr, handle) = start(DaemonConfig {
+        workers: 1,
+        ..small_config()
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    for (id, kind) in [(1, JobKind::Adversary), (2, JobKind::Certify)] {
+        let shapes = [
+            Workload::Periodic { n: 7, k: 3, l: 1 },
+            Workload::Uniform { n: 8, k: 2 },
+        ];
+        submit(
+            &mut client,
+            id,
+            Backpressure::Block,
+            search_job(kind, &Objective::ALL, &shapes),
+        );
+        let frames = collect_job(&mut client, id);
+        let rows = rows(&frames);
+        assert_eq!(rows.len(), 6, "{kind}");
+        for (seq, row) in rows.iter().enumerate() {
+            assert_eq!(row.seq, seq, "{kind}: in-order delivery");
+            assert!(!row.cached, "{kind}: cold rows compute");
+            assert_eq!(row.key.objective, Some(Objective::ALL[seq % 3]));
+            let alone = engine::compute(&row.key).expect("cell computes");
+            assert_eq!(
+                row.payload.to_string(),
+                alone.to_string(),
+                "{kind} cell {seq}: grouped payload must equal the one-cell compute"
+            );
+        }
+        let computed = stats(&mut client).cells_computed;
+        assert_eq!(computed, 6 * id, "{kind}: cells, not searches, are counted");
+    }
+    let after = stats(&mut client);
+    assert_eq!(after.cache.misses, 12);
+    assert_eq!(
+        after.cache.entries, 12,
+        "each cell is cached under its own key"
+    );
+    shutdown(&mut client);
+    handle.join().expect("server thread");
+}
+
+/// A search whose `total-moves` cell is already cached computes only
+/// its other objectives; the cached cell is served as a hit in order.
+#[test]
+fn a_cached_objective_is_served_and_the_rest_computed() {
+    let (addr, handle) = start(small_config());
+    let mut client = Client::connect(&addr).expect("connect");
+    let shape = [Workload::Periodic { n: 7, k: 3, l: 1 }];
+    submit(
+        &mut client,
+        1,
+        Backpressure::Block,
+        search_job(JobKind::Adversary, &[Objective::TotalMoves], &shape),
+    );
+    let warm = collect_job(&mut client, 1);
+    assert_eq!(stats(&mut client).cells_computed, 1);
+
+    submit(
+        &mut client,
+        2,
+        Backpressure::Block,
+        search_job(JobKind::Adversary, &Objective::ALL, &shape),
+    );
+    let frames = collect_job(&mut client, 2);
+    let rows = rows(&frames);
+    let cached: Vec<bool> = rows.iter().map(|row| row.cached).collect();
+    assert_eq!(cached, [true, false, false]);
+    assert_eq!(
+        rows[0].payload.to_string(),
+        self::rows(&warm)[0].payload.to_string()
+    );
+    match frames.last() {
+        Some(Response::Done {
+            rows, cache_hits, ..
+        }) => assert_eq!((*rows, *cache_hits), (3, 1)),
+        other => panic!("expected done, got {other:?}"),
+    }
+    let after = stats(&mut client);
+    assert_eq!(after.cells_computed, 3);
+    assert_eq!((after.cache.hits, after.cache.misses), (1, 3));
+    shutdown(&mut client);
+    handle.join().expect("server thread");
+}
+
+/// A ring past the engine's limits is refused with an `error` frame
+/// before any cell runs; no worker panics.
+#[test]
+fn oversized_rings_are_refused_without_a_panic() {
+    let (addr, handle) = start(small_config());
+    let mut client = Client::connect(&addr).expect("connect");
+    for (id, shape) in [
+        (1, Workload::Uniform { n: 100_000, k: 4 }),
+        (2, Workload::Random { n: 65_537, k: 2 }),
+    ] {
+        submit(
+            &mut client,
+            id,
+            Backpressure::Block,
+            search_job(JobKind::Adversary, &[Objective::TotalMoves], &[shape]),
+        );
+        let frames = collect_job(&mut client, id);
+        assert!(
+            matches!(frames.last(), Some(Response::Error { id: Some(e), message })
+                if *e == id && message.contains("exceed the engine's limits")),
+            "{frames:?}"
+        );
+    }
+    submit(&mut client, 3, Backpressure::Block, sweep_job(&[0]));
+    assert_eq!(rows(&collect_job(&mut client, 3)).len(), 1);
+    let after = stats(&mut client);
+    assert_eq!(after.panics, 0);
+    assert_eq!(after.cells_computed, 1);
     shutdown(&mut client);
     handle.join().expect("server thread");
 }

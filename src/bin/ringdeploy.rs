@@ -68,7 +68,7 @@
 use std::process::ExitCode;
 
 use rand::SeedableRng;
-use ringdeploy::analysis::certify::{certify_one, CertifySettings, EvidenceTier};
+use ringdeploy::analysis::certify::{certify_all, CertifySettings, EvidenceTier};
 use ringdeploy::analysis::{random_config, worst_case_one};
 use ringdeploy::sim::adversary::{Adversary, Objective};
 use ringdeploy::sim::explore::SymmetryMode;
@@ -239,6 +239,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.homes.is_none() && opts.k.is_none() {
         return Err(format!("one of --homes / --k is required\n{}", usage()));
     }
+    let k = opts.homes.as_ref().map_or(opts.k.unwrap_or(0), Vec::len);
+    InitialConfig::check_size(opts.n, k).map_err(|e| format!("{e}\n{}", usage()))?;
     if opts.explore_serial && !opts.explore {
         return Err(format!("--explore-serial requires --explore\n{}", usage()));
     }
@@ -573,12 +575,13 @@ fn adversary(opts: &Options, init: &InitialConfig, objective: Objective) -> Resu
 /// evidence tier; fails (non-zero exit) if any bound is violated.
 fn certify(opts: &Options, init: &InitialConfig) -> Result<(), String> {
     let settings = CertifySettings::default();
-    let mut certificates = Vec::new();
-    for objective in Objective::ALL {
-        let cert = certify_one(opts.algo, init, objective, opts.tier, &settings)
-            .map_err(|e| format!("certification FAILED ({objective}): {e}"))?;
-        certificates.push(cert);
-    }
+    let certificates = certify_all(opts.algo, init, &Objective::ALL, opts.tier, &settings)
+        .into_iter()
+        .zip(Objective::ALL)
+        .map(|(cert, objective)| {
+            cert.map_err(|e| format!("certification FAILED ({objective}): {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let violation = violation_error(&certificates);
     if opts.json {
         #[cfg(feature = "serde")]

@@ -333,3 +333,27 @@ fn group_size_zero_is_a_usage_error() {
         );
     }
 }
+
+/// Rings past the engine's packed-word limits (n > 65536 or k > 65535)
+/// are refused as a usage error (exit 2) before any ring is built,
+/// instead of panicking in the engine.
+#[test]
+fn oversized_rings_are_a_usage_error() {
+    let cases: &[&[&str]] = &[
+        &["--n", "65537", "--homes", "0,1"],
+        &["--n", "100000", "--k", "4", "--adversary", "moves"],
+        &["--n", "18446744073709551615", "--homes", "0", "--certify"],
+    ];
+    for args in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_ringdeploy"))
+            .args(*args)
+            .output()
+            .expect("spawn ringdeploy");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("exceed the engine's limits"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
