@@ -313,7 +313,9 @@ impl From<AdversaryError> for CertifyErrorKind {
 /// [`ProblemFamily::worst_case`](ringdeploy_core::ProblemFamily::worst_case),
 /// mirroring [`explore_one`](crate::explore_one). The CLI's
 /// `--adversary` mode and the `adversary_scale` bench route through
-/// here; [`worst_case_all`] is the several-objective form.
+/// here;
+/// [`ProblemFamily::worst_case_all`](ringdeploy_core::ProblemFamily::worst_case_all)
+/// is the several-objective form.
 ///
 /// # Errors
 ///
@@ -325,19 +327,6 @@ pub fn worst_case_one(
     objective: Objective,
 ) -> Result<WorstCase, AdversaryError> {
     algorithm.worst_case(init, adversary, objective)
-}
-
-/// Runs the worst-case search of every objective in `objectives` for
-/// one explicit instance under `algorithm`, from one walk
-/// ([`Adversary::run_all`]). Answer `i` equals
-/// [`worst_case_one`] for `objectives[i]`.
-pub fn worst_case_all(
-    algorithm: Algorithm,
-    init: &InitialConfig,
-    adversary: &Adversary,
-    objectives: &[Objective],
-) -> Vec<Result<WorstCase, AdversaryError>> {
-    algorithm.worst_case_all(init, adversary, objectives)
 }
 
 /// The objective's value in a completed run's report.
@@ -372,8 +361,9 @@ pub fn certify_one(
 /// Certifies the bound of every objective in `objectives` on one
 /// instance, in order. The measurement is shared: at the sweep tier one
 /// set of preset runs feeds every objective, at the search tiers one
-/// walk does ([`worst_case_all`]). Certificate `i` equals
-/// [`certify_one`] for `objectives[i]`.
+/// walk does
+/// ([`ProblemFamily::worst_case_all`](ringdeploy_core::ProblemFamily::worst_case_all)).
+/// Certificate `i` equals [`certify_one`] for `objectives[i]`.
 pub fn certify_all(
     algorithm: Algorithm,
     init: &InitialConfig,
@@ -399,7 +389,8 @@ pub fn certify_all(
                 .limits
                 .unwrap_or_else(|| ExploreLimits::for_instance(n, k));
             let adversary = Adversary::new().limits(limits).symmetry(symmetry);
-            worst_case_all(algorithm, init, &adversary, objectives)
+            algorithm
+                .worst_case_all(init, &adversary, objectives)
                 .into_iter()
                 .map(|worst| {
                     worst

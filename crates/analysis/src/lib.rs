@@ -55,8 +55,8 @@ pub mod sweep;
 mod table;
 
 pub use certify::{
-    certify_all, certify_one, paper_bound, worst_case_all, worst_case_one, BoundCertificate,
-    Certify, CertifyBatchError, CertifyCell, CertifyErrorKind, CertifyRow, CertifySettings,
+    certify_all, certify_one, paper_bound, worst_case_one, BoundCertificate, Certify,
+    CertifyBatchError, CertifyCell, CertifyErrorKind, CertifyRow, CertifySettings,
     DegradationVerdict, EvidenceTier, PaperBound, SearchStats,
 };
 pub use experiment::{Cell, Measurement};

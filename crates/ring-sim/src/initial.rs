@@ -32,7 +32,7 @@ pub enum InitialConfigError {
         home: usize,
     },
     /// The ring or the agent count exceeds what the engine's packed
-    /// agent words can index ([`MAX_NODES`], [`MAX_AGENTS`]).
+    /// agent words can index (65,536 nodes, 65,535 agents).
     TooLarge {
         /// Ring size.
         nodes: usize,
@@ -43,11 +43,11 @@ pub enum InitialConfigError {
 
 /// The largest ring the engine runs: packed agent words index nodes
 /// with a `u16`.
-pub const MAX_NODES: usize = u16::MAX as usize + 1;
+pub(crate) const MAX_NODES: usize = u16::MAX as usize + 1;
 
 /// The most agents the engine runs: packed agent words index agents
 /// with a `u16`.
-pub const MAX_AGENTS: usize = u16::MAX as usize;
+pub(crate) const MAX_AGENTS: usize = u16::MAX as usize;
 
 impl fmt::Display for InitialConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

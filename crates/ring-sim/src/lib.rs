@@ -101,7 +101,7 @@ pub use config::{AgentView, Configuration, Place};
 pub use engine::{LinkDiscipline, PhaseTally, Ring, RunLimits, RunOutcome, StepUndo};
 pub use error::SimError;
 pub use fault::{CrashFault, EdgeFault, FaultPlan};
-pub use initial::{InitialConfig, InitialConfigError, MAX_AGENTS, MAX_NODES};
+pub use initial::{InitialConfig, InitialConfigError};
 pub use metrics::Metrics;
 pub use predicate::{
     is_uniform_spacing, satisfies_halting_deployment, satisfies_partial_gathering,

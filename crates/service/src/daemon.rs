@@ -19,11 +19,11 @@
 //! **cell order** as the contiguous ready prefix grows → `done`.
 //!
 //! A dispatched miss takes the job's later undispatched, cache-missing
-//! cells of the same search along ([`engine::shares_search`]: the same
-//! instance, another objective) as one work item; the worker computes
-//! the group once and posts one [`CellDone`] per cell. Every cell is
-//! probed, counted as a miss at most once, cached under its own key
-//! and counted in `cells_computed`.
+//! cells of the same search along (the same instance, another
+//! objective; the groups are worked out once, at admission) as one work
+//! item; the worker computes the group once and posts one [`CellDone`]
+//! per cell. Every cell is probed, counted as a miss at most once,
+//! cached under its own key and counted in `cells_computed`.
 //!
 //! A failed cell emits `error` and cancels the job's remaining cells; a
 //! job overrunning its `timeout_ms` deadline emits `timeout` and is
@@ -171,6 +171,12 @@ struct Job {
     next_dispatch: usize,
     /// Where each cell stands in cache probing and dispatch.
     probes: Vec<Probe>,
+    /// The cells of each search the job's keys share, ascending (see
+    /// [`search_groups`]).
+    groups: Vec<Vec<usize>>,
+    /// Each cell's index into `groups`; `None` for kinds that run no
+    /// objective search.
+    group_of: Vec<Option<usize>>,
     /// Rows up to (exclusive) this index are delivered.
     emitted: usize,
     /// Cells currently in the worker queue or being computed.
@@ -201,6 +207,28 @@ enum Probe {
     /// Served from the cache or dispatched — possibly ahead of the
     /// frontier, with an earlier cell's search group.
     Taken,
+}
+
+/// Groups the cells of `keys` by the search they share
+/// ([`engine::search_of`]): the cells of each group, ascending, and each
+/// cell's group. One pass at admission, so dispatch reads a cell's
+/// group instead of scanning the job.
+fn search_groups(keys: &[InstanceKey]) -> (Vec<Vec<usize>>, Vec<Option<usize>>) {
+    let mut index: HashMap<InstanceKey, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of = vec![None; keys.len()];
+    for (cell, key) in keys.iter().enumerate() {
+        let Some(search) = engine::search_of(key) else {
+            continue;
+        };
+        let group = *index.entry(search).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[group].push(cell);
+        group_of[cell] = Some(group);
+    }
+    (groups, group_of)
 }
 
 /// The actor: owns all state, processes [`Event`]s. See the
@@ -520,6 +548,7 @@ impl Daemon {
         self.next_job += 1;
         let canon = keys.iter().map(InstanceKey::canonical).collect();
         let probes = vec![Probe::Fresh; keys.len()];
+        let (groups, group_of) = search_groups(&keys);
         let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
         self.send_to(
             conn,
@@ -537,6 +566,8 @@ impl Daemon {
                 canon,
                 next_dispatch: 0,
                 probes,
+                groups,
+                group_of,
                 emitted: 0,
                 in_flight: 0,
                 hits: 0,
@@ -583,13 +614,17 @@ impl Daemon {
                 continue;
             }
             let mut cells = vec![cell];
-            for other in cell + 1..job.keys.len() {
-                if job.probes[other] != Probe::Taken
-                    && engine::shares_search(&job.keys[cell], &job.keys[other])
-                    && !self.probe_cache(&mut job, other)
-                {
-                    cells.push(other);
+            if let Some(group) = job.group_of[cell] {
+                let members = std::mem::take(&mut job.groups[group]);
+                for &other in &members {
+                    if other > cell
+                        && job.probes[other] != Probe::Taken
+                        && !self.probe_cache(&mut job, other)
+                    {
+                        cells.push(other);
+                    }
                 }
+                job.groups[group] = members;
             }
             let item = WorkItem {
                 job: id,
@@ -699,5 +734,48 @@ impl Daemon {
             };
             self.admit(conn, id, keys, timeout_ms);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ringdeploy_analysis::key::JobKind;
+    use ringdeploy_analysis::{Objective, Workload};
+    use ringdeploy_core::{Algorithm, Schedule};
+
+    fn key(kind: JobKind, n: usize, objective: Option<Objective>) -> InstanceKey {
+        InstanceKey {
+            kind,
+            algorithm: Algorithm::FullKnowledge,
+            workload: Workload::Uniform { n, k: 2 },
+            schedule: (kind == JobKind::Sweep).then_some(Schedule::RoundRobin),
+            seed: 0,
+            objective,
+            tier: None,
+            faults: ringdeploy_sim::FaultPlan::none(),
+        }
+    }
+
+    #[test]
+    fn search_groups_join_the_objectives_of_one_instance() {
+        use Objective::{PeakMemoryBits, TotalActivations, TotalMoves};
+        let adversary = |n, objective| key(JobKind::Adversary, n, Some(objective));
+        // Interleaved instances: each group's cells are not adjacent.
+        let keys = [
+            adversary(8, TotalMoves),
+            adversary(10, TotalMoves),
+            adversary(8, PeakMemoryBits),
+            adversary(10, TotalActivations),
+            adversary(8, TotalActivations),
+        ];
+        let (groups, group_of) = search_groups(&keys);
+        assert_eq!(groups, [vec![0, 2, 4], vec![1, 3]]);
+        assert_eq!(group_of, [Some(0), Some(1), Some(0), Some(1), Some(0)]);
+
+        let sweeps = [key(JobKind::Sweep, 8, None), key(JobKind::Sweep, 8, None)];
+        let (groups, group_of) = search_groups(&sweeps);
+        assert!(groups.is_empty());
+        assert_eq!(group_of, [None, None]);
     }
 }

@@ -1,11 +1,12 @@
 //! The compute kernel: [`InstanceKey`]s in, one rendered report per key
 //! out.
 //!
-//! [`compute_group`] answers several keys that [`shares_search`] —
-//! adversary or certify keys of one instance that differ only in
-//! `objective` — from one search ([`worst_case_all`], [`certify_all`];
-//! DESIGN.md §0.13). Each report is byte-identical to the one-key
-//! [`compute`], so grouping never changes a cached payload.
+//! The crate-private `compute_group` answers several keys of one search
+//! — adversary or certify keys of one instance that differ only in
+//! `objective` — from one walk
+//! ([`ProblemFamily::worst_case_all`](ringdeploy_core::ProblemFamily::worst_case_all),
+//! [`certify_all`]; DESIGN.md §0.13). Each report is byte-identical to
+//! the one-key [`compute`], so grouping never changes a cached payload.
 //!
 //! This is the *only* place the service invokes the verification
 //! engines, and it deliberately pins every free parameter so the result
@@ -26,9 +27,7 @@
 //! any payload a client receives.
 
 use ringdeploy_analysis::key::{InstanceKey, JobKind};
-use ringdeploy_analysis::{
-    certify_all, explore_one_serial, worst_case_all, CertifySettings, Objective,
-};
+use ringdeploy_analysis::{certify_all, explore_one_serial, CertifySettings, Objective};
 use ringdeploy_core::Deployment;
 use ringdeploy_json::{Json, ToJson};
 use ringdeploy_sim::adversary::Adversary;
@@ -36,8 +35,8 @@ use ringdeploy_sim::explore::{ExploreLimits, Explorer, SymmetryMode};
 use ringdeploy_sim::InitialConfig;
 
 /// Computes the report for `key`. Deterministic: equal keys produce
-/// byte-identical rendered payloads. The one-key case of
-/// [`compute_group`].
+/// byte-identical rendered payloads. The one-key case of the
+/// crate-private `compute_group`.
 ///
 /// # Errors
 ///
@@ -49,9 +48,11 @@ pub fn compute(key: &InstanceKey) -> Result<Json, String> {
         .expect("one key, one report")
 }
 
-/// Whether `a` and `b` can share one search in [`compute_group`]: both
-/// are adversary or certify keys, equal in everything but `objective`.
-pub fn shares_search(a: &InstanceKey, b: &InstanceKey) -> bool {
+/// The search `key` shares with the job's other objectives: the key
+/// with its objective cleared, for adversary and certify keys; `None`
+/// for the kinds that run no objective search. Keys with equal searches
+/// form one [`compute_group`].
+pub(crate) fn search_of(key: &InstanceKey) -> Option<InstanceKey> {
     // Destructured in full, so a new key field must decide here whether
     // it splits a search.
     let InstanceKey {
@@ -63,35 +64,36 @@ pub fn shares_search(a: &InstanceKey, b: &InstanceKey) -> bool {
         objective: _,
         tier,
         faults,
-    } = a;
-    matches!(kind, JobKind::Adversary | JobKind::Certify)
-        && (kind, algorithm, workload, schedule, seed, tier, faults)
-            == (
-                &b.kind,
-                &b.algorithm,
-                &b.workload,
-                &b.schedule,
-                &b.seed,
-                &b.tier,
-                &b.faults,
-            )
+    } = key;
+    matches!(kind, JobKind::Adversary | JobKind::Certify).then(|| InstanceKey {
+        kind: *kind,
+        algorithm: *algorithm,
+        workload: *workload,
+        schedule: *schedule,
+        seed: *seed,
+        objective: None,
+        tier: *tier,
+        faults: faults.clone(),
+    })
 }
 
 /// Computes the reports of `keys`, in order, with one search for the
-/// whole group: [`worst_case_all`] for adversary keys, [`certify_all`]
-/// for certify keys. Report `i` is byte-identical to
+/// whole group:
+/// [`ProblemFamily::worst_case_all`](ringdeploy_core::ProblemFamily::worst_case_all)
+/// for adversary keys, [`certify_all`] for certify keys. Report `i` is byte-identical to
 /// [`compute`]`(&keys[i])`.
 ///
 /// # Panics
 ///
-/// If two keys do not [`shares_search`] (a group of one is always
+/// If two keys differ in their [`search_of`] (a group of one is always
 /// fine).
-pub fn compute_group(keys: &[InstanceKey]) -> Vec<Result<Json, String>> {
+pub(crate) fn compute_group(keys: &[InstanceKey]) -> Vec<Result<Json, String>> {
     let Some(first) = keys.first() else {
         return Vec::new();
     };
+    let search = search_of(first);
     assert!(
-        keys.len() == 1 || keys.iter().all(|key| shares_search(first, key)),
+        keys.len() == 1 || (search.is_some() && keys.iter().all(|key| search_of(key) == search)),
         "a compute group must differ in objective only"
     );
     let labelled = |result: Result<Json, String>, key: &InstanceKey| {
@@ -138,7 +140,9 @@ pub fn compute_group(keys: &[InstanceKey]) -> Vec<Result<Json, String>> {
                 let adversary = Adversary::new()
                     .limits(ExploreLimits::for_instance(n, k))
                     .symmetry(SymmetryMode::Rotation);
-                worst_case_all(first.algorithm, &init, &adversary, &objectives)
+                first
+                    .algorithm
+                    .worst_case_all(&init, &adversary, &objectives)
                     .into_iter()
                     // `WorstCase` has no instance_fingerprint field; the
                     // row frame carries the fingerprint alongside the

@@ -36,8 +36,8 @@ fn chaos_panic_hook(key: &InstanceKey) {
 
 /// One unit of work: compute the reports of `keys` for cells `cells`
 /// (one per key) of job `job` (the daemon's internal job id). The keys
-/// are one cell's, or several that [`engine::shares_search`] and are
-/// computed by one search ([`engine::compute_group`]).
+/// are one cell's, or several keys of one search that differ only in
+/// objective, computed together by the engine's `compute_group`.
 pub struct WorkItem {
     /// Internal job id.
     pub job: u64,

@@ -15,7 +15,7 @@
 #![cfg(feature = "serde")]
 
 use ringdeploy::analysis::certify::{certify_all, certify_one, CertifySettings, EvidenceTier};
-use ringdeploy::analysis::{worst_case_all, worst_case_one};
+use ringdeploy::analysis::worst_case_one;
 use ringdeploy::json::ToJson;
 use ringdeploy::sim::adversary::{Adversary, AdversaryError, Objective, WorstCase};
 use ringdeploy::sim::explore::{ExploreLimits, SymmetryMode};
@@ -120,7 +120,7 @@ fn fused_search_matches_one_objective_search_on_every_family() {
                     assert_fused_matches(
                         &label,
                         |objective| worst_case_one(algorithm, &init, &engine, objective),
-                        |objectives| worst_case_all(algorithm, &init, &engine, objectives),
+                        |objectives| algorithm.worst_case_all(&init, &engine, objectives),
                     );
                 }
             }
@@ -139,7 +139,7 @@ fn algo1_moves_leave_the_walk_where_the_bound_prune_fires() {
         let moves = worst_case_one(Algorithm::FullKnowledge, &init, &engine, TotalMoves)
             .expect("search succeeds");
         assert!(moves.bound_prunes > 0, "{symmetry:?}: the prune must fire");
-        let fused = worst_case_all(Algorithm::FullKnowledge, &init, &engine, &Objective::ALL);
+        let fused = Algorithm::FullKnowledge.worst_case_all(&init, &engine, &Objective::ALL);
         assert_eq!(render(&fused[0]), render(&Ok(moves)), "{symmetry:?}");
         for answer in &fused[1..] {
             let worst = answer.as_ref().expect("search succeeds");
@@ -148,7 +148,7 @@ fn algo1_moves_leave_the_walk_where_the_bound_prune_fires() {
         assert_fused_matches(
             &format!("algo1 {symmetry:?}"),
             |objective| worst_case_one(Algorithm::FullKnowledge, &init, &engine, objective),
-            |objectives| worst_case_all(Algorithm::FullKnowledge, &init, &engine, objectives),
+            |objectives| Algorithm::FullKnowledge.worst_case_all(&init, &engine, objectives),
         );
     }
 }
@@ -247,7 +247,7 @@ fn a_cycle_is_the_same_error_for_every_objective() {
     assert_fused_matches(
         "algo1 under a tight state budget",
         |objective| worst_case_one(Algorithm::FullKnowledge, &init, &tight, objective),
-        |objectives| worst_case_all(Algorithm::FullKnowledge, &init, &tight, objectives),
+        |objectives| Algorithm::FullKnowledge.worst_case_all(&init, &tight, objectives),
     );
 }
 
