@@ -428,3 +428,137 @@ fn gathering_family_round_trips_through_the_wire_encoding() {
     assert_eq!(decoded, original);
     assert_eq!(decoded.fingerprint(), original.fingerprint());
 }
+
+/// Pins the exact key order of every kind: algorithms → workloads →
+/// {schedules | objectives | one empty slot} → seeds, with
+/// `RandomPerSeed` resolved to the cell's seed and the defaulted
+/// schedule, objective and seed dimensions filled in. Rows stream in
+/// this order and cache keys are built from it, so it must not drift.
+#[test]
+fn job_spec_keys_are_pinned_for_every_kind() {
+    let labels = |job: &JobSpec| -> Vec<String> {
+        job.keys()
+            .expect("expansion")
+            .iter()
+            .map(InstanceKey::label)
+            .collect()
+    };
+    let grid = |kind| JobSpec {
+        kind,
+        objectives: vec![Objective::TotalMoves, Objective::PeakMemoryBits],
+        ..spec()
+    };
+    // One algorithm × one workload with every defaultable dimension empty.
+    let defaulted = |kind| JobSpec {
+        kind,
+        algorithms: vec![Algorithm::Relaxed],
+        workloads: vec![Workload::Uniform { n: 8, k: 4 }],
+        schedules: Vec::new(),
+        objectives: Vec::new(),
+        seeds: Vec::new(),
+        tier: EvidenceTier::Sweep,
+        ..spec()
+    };
+
+    assert_eq!(
+        labels(&grid(JobKind::Sweep)),
+        [
+            "sweep:algo1-full-knowledge:random(n=16,k=4):seed0:random(9)",
+            "sweep:algo1-full-knowledge:random(n=16,k=4):seed7:random(9)",
+            "sweep:algo1-full-knowledge:random(n=16,k=4):seed0:random(0)",
+            "sweep:algo1-full-knowledge:random(n=16,k=4):seed7:random(7)",
+            "sweep:algo1-full-knowledge:periodic(n=12,k=4,l=2):seed0:random(9)",
+            "sweep:algo1-full-knowledge:periodic(n=12,k=4,l=2):seed7:random(9)",
+            "sweep:algo1-full-knowledge:periodic(n=12,k=4,l=2):seed0:random(0)",
+            "sweep:algo1-full-knowledge:periodic(n=12,k=4,l=2):seed7:random(7)",
+            "sweep:algo2-log-space:random(n=16,k=4):seed0:random(9)",
+            "sweep:algo2-log-space:random(n=16,k=4):seed7:random(9)",
+            "sweep:algo2-log-space:random(n=16,k=4):seed0:random(0)",
+            "sweep:algo2-log-space:random(n=16,k=4):seed7:random(7)",
+            "sweep:algo2-log-space:periodic(n=12,k=4,l=2):seed0:random(9)",
+            "sweep:algo2-log-space:periodic(n=12,k=4,l=2):seed7:random(9)",
+            "sweep:algo2-log-space:periodic(n=12,k=4,l=2):seed0:random(0)",
+            "sweep:algo2-log-space:periodic(n=12,k=4,l=2):seed7:random(7)",
+        ]
+    );
+    assert_eq!(
+        labels(&grid(JobKind::Explore)),
+        [
+            "explore:algo1-full-knowledge:random(n=16,k=4):seed0",
+            "explore:algo1-full-knowledge:random(n=16,k=4):seed7",
+            "explore:algo1-full-knowledge:periodic(n=12,k=4,l=2):seed0",
+            "explore:algo1-full-knowledge:periodic(n=12,k=4,l=2):seed7",
+            "explore:algo2-log-space:random(n=16,k=4):seed0",
+            "explore:algo2-log-space:random(n=16,k=4):seed7",
+            "explore:algo2-log-space:periodic(n=12,k=4,l=2):seed0",
+            "explore:algo2-log-space:periodic(n=12,k=4,l=2):seed7",
+        ]
+    );
+    let objective_grid = [
+        "algo1-full-knowledge:random(n=16,k=4):seed0:total-moves",
+        "algo1-full-knowledge:random(n=16,k=4):seed7:total-moves",
+        "algo1-full-knowledge:random(n=16,k=4):seed0:peak-memory-bits",
+        "algo1-full-knowledge:random(n=16,k=4):seed7:peak-memory-bits",
+        "algo1-full-knowledge:periodic(n=12,k=4,l=2):seed0:total-moves",
+        "algo1-full-knowledge:periodic(n=12,k=4,l=2):seed7:total-moves",
+        "algo1-full-knowledge:periodic(n=12,k=4,l=2):seed0:peak-memory-bits",
+        "algo1-full-knowledge:periodic(n=12,k=4,l=2):seed7:peak-memory-bits",
+        "algo2-log-space:random(n=16,k=4):seed0:total-moves",
+        "algo2-log-space:random(n=16,k=4):seed7:total-moves",
+        "algo2-log-space:random(n=16,k=4):seed0:peak-memory-bits",
+        "algo2-log-space:random(n=16,k=4):seed7:peak-memory-bits",
+        "algo2-log-space:periodic(n=12,k=4,l=2):seed0:total-moves",
+        "algo2-log-space:periodic(n=12,k=4,l=2):seed7:total-moves",
+        "algo2-log-space:periodic(n=12,k=4,l=2):seed0:peak-memory-bits",
+        "algo2-log-space:periodic(n=12,k=4,l=2):seed7:peak-memory-bits",
+    ];
+    assert_eq!(
+        labels(&grid(JobKind::Adversary)),
+        objective_grid.map(|cell| format!("adversary:{cell}"))
+    );
+    assert_eq!(
+        labels(&grid(JobKind::Certify)),
+        objective_grid.map(|cell| format!("certify:{cell}:adversarial"))
+    );
+
+    assert_eq!(
+        labels(&defaulted(JobKind::Sweep)),
+        ["sweep:algo4-relaxed:uniform(n=8,k=4):seed0:random(0)"]
+    );
+    assert_eq!(
+        labels(&defaulted(JobKind::Explore)),
+        ["explore:algo4-relaxed:uniform(n=8,k=4):seed0"]
+    );
+    assert_eq!(
+        labels(&defaulted(JobKind::Adversary)),
+        [
+            "adversary:algo4-relaxed:uniform(n=8,k=4):seed0:total-moves",
+            "adversary:algo4-relaxed:uniform(n=8,k=4):seed0:total-activations",
+            "adversary:algo4-relaxed:uniform(n=8,k=4):seed0:peak-memory-bits",
+        ]
+    );
+    assert_eq!(
+        labels(&defaulted(JobKind::Certify)),
+        [
+            "certify:algo4-relaxed:uniform(n=8,k=4):seed0:total-moves:sweep",
+            "certify:algo4-relaxed:uniform(n=8,k=4):seed0:total-activations:sweep",
+            "certify:algo4-relaxed:uniform(n=8,k=4):seed0:peak-memory-bits:sweep",
+        ]
+    );
+
+    for kind in JobKind::ALL {
+        let no_algorithms = JobSpec {
+            algorithms: Vec::new(),
+            ..grid(kind)
+        };
+        assert!(
+            no_algorithms.keys().is_err(),
+            "{kind}: empty algorithm list"
+        );
+        let no_workloads = JobSpec {
+            workloads: Vec::new(),
+            ..grid(kind)
+        };
+        assert!(no_workloads.keys().is_err(), "{kind}: empty workload list");
+    }
+}
