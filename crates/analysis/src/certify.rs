@@ -37,10 +37,12 @@
 //! # Recorded constants
 //!
 //! Asymptotic bounds say nothing about constants; a certificate must.
-//! The constants recorded in [`paper_bound`] are *empirical envelopes*:
-//! the smallest round numbers that dominate every adversarial exact
-//! maximum measured across the exhaustive verification tier (n ≤ 20,
-//! k ≤ 6, all three families, uniform through fully clustered starts) —
+//! The constants recorded in
+//! [`ProblemFamily::paper_bound`](ringdeploy_core::ProblemFamily::paper_bound)
+//! are *empirical envelopes*: the smallest round numbers that dominate
+//! every adversarial exact maximum measured across the exhaustive
+//! verification tier (n ≤ 20, k ≤ 6, all three families, uniform
+//! through fully clustered starts) —
 //! e.g. Algorithm 1's worst-case total moves measured ≤ 2.0·kn, recorded
 //! as `3·k·n`. A certified instance whose worst case exceeds the
 //! recorded bound (`!holds()`) is a *finding*: either the constant or
@@ -70,28 +72,9 @@ use ringdeploy_core::{Algorithm, DeployError, Deployment, Schedule};
 use ringdeploy_sim::adversary::{Adversary, AdversaryError, Objective, WorstCase};
 use ringdeploy_sim::explore::{ExploreLimits, SymmetryMode};
 use ringdeploy_sim::scheduler::Activation;
-use ringdeploy_sim::{DeploymentCheck, FaultPlan, InitialConfig};
-
-use crate::sweep::Workload;
+use ringdeploy_sim::{DeploymentCheck, InitialConfig};
 
 pub use ringdeploy_core::PaperBound;
-
-/// The paper bound for `algorithm` × `objective` at an `(n, k, l)`
-/// instance, with the recorded constant — a thin wrapper over
-/// [`ProblemFamily::paper_bound`](ringdeploy_core::ProblemFamily::paper_bound),
-/// kept for callers that predate the trait. Shapes come from the
-/// Table-1 expectations in `ringdeploy-core`; the activation bound
-/// shares the move shape (every activation beyond the bounded moves is
-/// a wake/suspend bounded by the same walks).
-pub fn paper_bound(
-    algorithm: Algorithm,
-    objective: Objective,
-    n: usize,
-    k: usize,
-    l: usize,
-) -> PaperBound {
-    algorithm.paper_bound(objective, n, k, l)
-}
 
 /// How much evidence backs a certificate — see the [module docs](self).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -163,7 +146,7 @@ impl From<&WorstCase> for SearchStats {
 }
 
 /// The graceful-degradation verdict of a certificate on a **faulted**
-/// instance (non-empty [`FaultPlan`]): does the family still meet its
+/// instance (non-empty [`FaultPlan`](ringdeploy_sim::FaultPlan)): does the family still meet its
 /// definition and bound, halt in the typed crash-degraded state, or
 /// fail to reach quiescence at all? Computed from a deterministic
 /// round-robin probe run of the faulted instance, alongside the
@@ -223,13 +206,13 @@ pub struct BoundCertificate {
     /// Branch-and-bound diagnostics — search tiers only.
     pub search: Option<SearchStats>,
     /// Graceful-degradation verdict — instances with a non-empty
-    /// [`FaultPlan`] only. `None` (and omitted from JSON, keeping
-    /// fault-free certificates byte-identical to the pre-fault
-    /// encoding) otherwise.
+    /// [`FaultPlan`](ringdeploy_sim::FaultPlan) only. `None` (and
+    /// omitted from JSON, keeping fault-free certificates
+    /// byte-identical to the pre-fault encoding) otherwise.
     pub degradation: Option<DegradationVerdict>,
     /// Fingerprint of the canonical instance key this certificate
     /// answers ([`InstanceKey::fingerprint`](crate::InstanceKey)),
-    /// stamped by batch/service layers so cache identity is auditable
+    /// stamped by the service layer so cache identity is auditable
     /// from the certificate alone. `None` for ad-hoc certifications.
     /// Hex-encoded in JSON.
     pub instance_fingerprint: Option<u64>,
@@ -248,7 +231,7 @@ impl BoundCertificate {
     }
 }
 
-/// Tunables shared by [`certify_one`] and the [`Certify`] batch.
+/// Tunables of [`certify_one`] and [`certify_all`].
 #[derive(Debug, Clone)]
 pub struct CertifySettings {
     /// Random seeds sampled by the sweep tier (default 64), in addition
@@ -306,27 +289,6 @@ impl From<AdversaryError> for CertifyErrorKind {
     fn from(e: AdversaryError) -> Self {
         CertifyErrorKind::Search(e)
     }
-}
-
-/// Runs the worst-case search for one explicit instance under
-/// `algorithm` — trait-routed through
-/// [`ProblemFamily::worst_case`](ringdeploy_core::ProblemFamily::worst_case),
-/// mirroring [`explore_one`](crate::explore_one). The CLI's
-/// `--adversary` mode and the `adversary_scale` bench route through
-/// here;
-/// [`ProblemFamily::worst_case_all`](ringdeploy_core::ProblemFamily::worst_case_all)
-/// is the several-objective form.
-///
-/// # Errors
-///
-/// See [`AdversaryError`].
-pub fn worst_case_one(
-    algorithm: Algorithm,
-    init: &InitialConfig,
-    adversary: &Adversary,
-    objective: Objective,
-) -> Result<WorstCase, AdversaryError> {
-    algorithm.worst_case(init, adversary, objective)
 }
 
 /// The objective's value in a completed run's report.
@@ -415,7 +377,7 @@ pub fn certify_all(
             let search = worst.as_ref().map(SearchStats::from);
             let terminal_fingerprint = worst.as_ref().map(|w| w.terminal_fingerprint);
             let witness = worst.map(|w| w.witness);
-            let bound = paper_bound(algorithm, objective, n, k, l);
+            let bound = algorithm.paper_bound(objective, n, k, l);
             let (oracle, ratio) = match objective {
                 Objective::TotalMoves => {
                     let oracle = algorithm.oracle_moves(init);
@@ -491,303 +453,6 @@ fn degradation_verdict(
         // broke the recorded bound; the carried check says which.
         Ok(report) => DegradationVerdict::Degraded(report.check.clone()),
         Err(_) => DegradationVerdict::Diverges,
-    }
-}
-
-/// Coordinates of one cell in a certification batch's cross product.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CertifyCell {
-    /// Position in the deterministic enumeration order (row order).
-    pub index: usize,
-    /// Algorithm of the cell.
-    pub algorithm: Algorithm,
-    /// Workload family of the cell.
-    pub workload: Workload,
-    /// The certified objective.
-    pub objective: Objective,
-    /// Seed used for workload instantiation.
-    pub seed: u64,
-}
-
-impl CertifyCell {
-    /// A human-readable cell label for reports and errors.
-    pub fn label(&self) -> String {
-        format!(
-            "{} × {} × {} × seed {}",
-            self.algorithm,
-            self.workload.label(),
-            self.objective,
-            self.seed
-        )
-    }
-}
-
-/// One streamed result row: the cell coordinates plus its certificate.
-#[derive(Debug, Clone)]
-pub struct CertifyRow {
-    /// Which cell produced this row.
-    pub cell: CertifyCell,
-    /// The bound certificate. A row with `!certificate.holds()` is
-    /// delivered, not turned into an error — a violated bound is the
-    /// batch's most important output.
-    pub certificate: BoundCertificate,
-}
-
-/// Error aborting a certification batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CertifyBatchError {
-    /// A dimension of the cross product is empty.
-    EmptyDimension {
-        /// Which builder list was empty.
-        dimension: &'static str,
-    },
-    /// A cell failed; carries the cell label for diagnosis.
-    Cell {
-        /// Enumeration index of the failing cell.
-        index: usize,
-        /// [`CertifyCell::label`] of the failing cell.
-        label: String,
-        /// The underlying certification failure.
-        error: CertifyErrorKind,
-    },
-}
-
-impl std::fmt::Display for CertifyBatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CertifyBatchError::EmptyDimension { dimension } => {
-                write!(f, "certification batch has an empty {dimension} list")
-            }
-            CertifyBatchError::Cell {
-                index,
-                label,
-                error,
-            } => write!(f, "certification cell #{index} ({label}) failed: {error}"),
-        }
-    }
-}
-
-impl std::error::Error for CertifyBatchError {}
-
-/// A batch of bound certifications over the cross product
-/// algorithms × workloads × objectives × seeds, mirroring
-/// [`Sweep`](crate::Sweep) and [`Explore`](crate::Explore): deterministic
-/// cell enumeration (algorithms outermost, seeds innermost), streamed
-/// rows in cell order. Like [`Explore`], cells run sequentially — the
-/// branch-and-bound already keeps a core busy and batches are small.
-///
-/// # Example
-///
-/// ```
-/// use ringdeploy_analysis::{Certify, Objective, Workload};
-/// use ringdeploy_core::Algorithm;
-///
-/// let rows = Certify::new()
-///     .algorithms(Algorithm::ALL)
-///     .workload(Workload::Uniform { n: 8, k: 4 })
-///     .objective(Objective::TotalMoves)
-///     .run()?;
-/// assert_eq!(rows.len(), 3);
-/// for row in &rows {
-///     assert!(row.certificate.holds(), "{}", row.cell.label());
-/// }
-/// # Ok::<(), ringdeploy_analysis::CertifyBatchError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct Certify {
-    algorithms: Vec<Algorithm>,
-    workloads: Vec<(Workload, Option<u64>)>,
-    objectives: Vec<Objective>,
-    seeds: Vec<u64>,
-    tier: EvidenceTier,
-    settings: CertifySettings,
-    faults: FaultPlan,
-}
-
-impl Default for Certify {
-    fn default() -> Self {
-        Certify::new()
-    }
-}
-
-impl Certify {
-    /// An empty batch: add at least one algorithm and one workload before
-    /// running (objectives default to all three, seeds to the single
-    /// seed 0, tier to [`EvidenceTier::Adversarial`]).
-    pub fn new() -> Self {
-        Certify {
-            algorithms: Vec::new(),
-            workloads: Vec::new(),
-            objectives: Objective::ALL.to_vec(),
-            seeds: vec![0],
-            tier: EvidenceTier::Adversarial,
-            settings: CertifySettings::default(),
-            faults: FaultPlan::none(),
-        }
-    }
-
-    /// Adds one algorithm.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithms.push(algorithm);
-        self
-    }
-
-    /// Adds several algorithms.
-    pub fn algorithms(mut self, algorithms: impl IntoIterator<Item = Algorithm>) -> Self {
-        self.algorithms.extend(algorithms);
-        self
-    }
-
-    /// Adds one workload family.
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.workloads.push((workload, None));
-        self
-    }
-
-    /// Adds several workload families.
-    pub fn workloads(mut self, workloads: impl IntoIterator<Item = Workload>) -> Self {
-        self.workloads
-            .extend(workloads.into_iter().map(|w| (w, None)));
-        self
-    }
-
-    /// Adds a workload with a **fixed** seed overriding the batch's seed
-    /// list for this workload (same convention as
-    /// [`Sweep::seeded_workload`](crate::Sweep::seeded_workload)).
-    pub fn seeded_workload(mut self, workload: Workload, seed: u64) -> Self {
-        self.workloads.push((workload, Some(seed)));
-        self
-    }
-
-    /// Replaces the objective list (default: all three).
-    pub fn objectives(mut self, objectives: impl IntoIterator<Item = Objective>) -> Self {
-        self.objectives = objectives.into_iter().collect();
-        self
-    }
-
-    /// Restricts to one objective.
-    pub fn objective(mut self, objective: Objective) -> Self {
-        self.objectives = vec![objective];
-        self
-    }
-
-    /// Replaces the seed list (default: the single seed 0).
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds = seeds.into_iter().collect();
-        self
-    }
-
-    /// Selects the evidence tier of every cell (default:
-    /// [`EvidenceTier::Adversarial`]).
-    pub fn tier(mut self, tier: EvidenceTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// Number of random seeds the sweep tier samples (default 64).
-    pub fn sweep_seeds(mut self, seeds: u64) -> Self {
-        self.settings.sweep_seeds = seeds;
-        self
-    }
-
-    /// Overrides the search limits of every cell (default:
-    /// [`ExploreLimits::for_instance`] scaled per cell).
-    pub fn limits(mut self, limits: ExploreLimits) -> Self {
-        self.settings.limits = Some(limits);
-        self
-    }
-
-    /// Injects a deterministic fault plan into every cell's instance
-    /// (default: fault-free). Faulted cells certify through the
-    /// graceful-degradation tier: their certificates carry a
-    /// [`DegradationVerdict`].
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Enumerates the cells in deterministic order (algorithms outermost,
-    /// then workloads, then objectives, seeds innermost).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CertifyBatchError::EmptyDimension`] when a dimension is
-    /// empty.
-    pub fn cells(&self) -> Result<Vec<CertifyCell>, CertifyBatchError> {
-        for (dimension, empty) in [
-            ("algorithm", self.algorithms.is_empty()),
-            ("workload", self.workloads.is_empty()),
-            ("objective", self.objectives.is_empty()),
-            ("seed", self.seeds.is_empty()),
-        ] {
-            if empty {
-                return Err(CertifyBatchError::EmptyDimension { dimension });
-            }
-        }
-        let mut cells = Vec::new();
-        for &algorithm in &self.algorithms {
-            for &(workload, fixed_seed) in &self.workloads {
-                for &objective in &self.objectives {
-                    let seeds: &[u64] = match &fixed_seed {
-                        Some(seed) => std::slice::from_ref(seed),
-                        None => &self.seeds,
-                    };
-                    for &seed in seeds {
-                        cells.push(CertifyCell {
-                            index: cells.len(),
-                            algorithm,
-                            workload,
-                            objective,
-                            seed,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(cells)
-    }
-
-    /// Runs every cell and collects the rows in cell order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing cell's error; rows after a failure are
-    /// not produced. A *violated bound* is not a failure — it is
-    /// reported in the row (`!certificate.holds()`).
-    pub fn run(&self) -> Result<Vec<CertifyRow>, CertifyBatchError> {
-        let mut rows = Vec::new();
-        self.stream(|row| rows.push(row))?;
-        Ok(rows)
-    }
-
-    /// Runs every cell, invoking `on_row` as each certificate completes
-    /// (cells run in order, so rows stream in order).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Certify::run`]; `on_row` is never called at or after the
-    /// failing cell.
-    pub fn stream(&self, mut on_row: impl FnMut(CertifyRow)) -> Result<(), CertifyBatchError> {
-        for cell in self.cells()? {
-            let init = cell
-                .workload
-                .instantiate(cell.seed)
-                .with_faults(self.faults.clone());
-            let certificate = certify_one(
-                cell.algorithm,
-                &init,
-                cell.objective,
-                self.tier,
-                &self.settings,
-            )
-            .map_err(|error| CertifyBatchError::Cell {
-                index: cell.index,
-                label: cell.label(),
-                error,
-            })?;
-            on_row(CertifyRow { cell, certificate });
-        }
-        Ok(())
     }
 }
 
@@ -949,7 +614,11 @@ mod tests {
     #[test]
     fn adversarial_tier_certifies_the_exhaustive_instances() {
         for algorithm in Algorithm::ALL {
-            for (n, homes) in [(8usize, vec![0usize, 4]), (8, vec![0, 1, 2])] {
+            for (n, homes) in [
+                (8usize, vec![0usize, 4]),
+                (8, vec![0, 1, 2]),
+                (8, vec![0, 2, 4, 6]),
+            ] {
                 let init = InitialConfig::new(n, homes.clone()).expect("valid");
                 for objective in Objective::ALL {
                     let cert = certify_one(
@@ -1049,50 +718,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_cross_product_is_complete_and_ordered() {
-        let batch = Certify::new()
-            .algorithms(Algorithm::ALL)
-            .workload(Workload::Uniform { n: 8, k: 4 })
-            .workload(Workload::QuarterRing { n: 8, k: 2 });
-        let cells = batch.cells().unwrap();
-        assert_eq!(cells.len(), 3 * 2 * 3);
-        for (i, cell) in cells.iter().enumerate() {
-            assert_eq!(cell.index, i);
-        }
-        assert_eq!(cells[0].objective, Objective::TotalMoves);
-        let err = Certify::new().cells().unwrap_err();
-        assert_eq!(
-            err,
-            CertifyBatchError::EmptyDimension {
-                dimension: "algorithm"
-            }
-        );
-    }
-
-    #[test]
-    fn batch_rows_stream_in_cell_order_and_certify() {
-        let mut indices = Vec::new();
-        Certify::new()
-            .algorithm(Algorithm::FullKnowledge)
-            .workload(Workload::Uniform { n: 8, k: 4 })
-            .stream(|row| {
-                assert!(row.certificate.holds(), "{}", row.cell.label());
-                indices.push(row.cell.index);
-            })
-            .unwrap();
-        assert_eq!(indices, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn recorded_bounds_evaluate_with_their_constants() {
-        let bound = paper_bound(Algorithm::FullKnowledge, Objective::TotalMoves, 12, 4, 1);
+        let bound = Algorithm::FullKnowledge.paper_bound(Objective::TotalMoves, 12, 4, 1);
         assert_eq!(bound.formula, "c*k*n");
         assert!((bound.value - bound.constant * 48.0).abs() < 1e-9);
-        let relaxed = paper_bound(Algorithm::Relaxed, Objective::TotalMoves, 12, 4, 4);
+        let relaxed = Algorithm::Relaxed.paper_bound(Objective::TotalMoves, 12, 4, 4);
         assert_eq!(relaxed.formula, "c*k*n/l");
         assert!((relaxed.value - relaxed.constant * 12.0).abs() < 1e-9);
         // Degenerate l = 0 must not divide by zero.
-        let degenerate = paper_bound(Algorithm::Relaxed, Objective::PeakMemoryBits, 12, 4, 0);
+        let degenerate = Algorithm::Relaxed.paper_bound(Objective::PeakMemoryBits, 12, 4, 0);
         assert!(degenerate.value.is_finite());
     }
 

@@ -10,14 +10,15 @@
 //! * [`Sweep`] / [`Measurement`]: batched (parallel) runs → the paper's three
 //!   measures (peak agent memory in bits, ideal time in rounds, total
 //!   moves) plus the Definition 1/2 verdict.
-//! * [`Explore`]: the exhaustive-verification counterpart of `Sweep` —
-//!   each cell runs the symmetry-reduced bounded model checker over
-//!   *every* schedule of its instance instead of sampling one.
-//! * [`Certify`]: the bound-certification counterpart — each cell finds
-//!   the exact adversarial worst case of a paper measure
-//!   (branch-and-bound over the reversible engine) and evaluates the
-//!   recorded paper bound against it, with a replayable witness
-//!   schedule and the competitive ratio versus [`oracle_moves`].
+//! * [`certify_one`] / [`certify_all`]: bound certification of one
+//!   instance — the exact adversarial worst case of a paper measure
+//!   (branch-and-bound over the reversible engine) evaluated against the
+//!   recorded paper bound, with a replayable witness schedule and the
+//!   competitive ratio versus [`oracle_moves`].
+//! * [`InstanceKey`]: the canonical identity of one sweep, explore,
+//!   adversary or certify query. Grids of those queries are enumerated
+//!   by the service's `JobSpec`; one instance is explored or searched
+//!   through [`ProblemFamily`](ringdeploy_core::ProblemFamily) directly.
 //! * [`Summary`] / [`LinearFit`]: statistics for scaling-shape checks.
 //! * [`TextTable`]: aligned text / CSV rendering for the `experiments`
 //!   binary that regenerates every table and figure.
@@ -47,7 +48,6 @@
 
 pub mod certify;
 mod experiment;
-pub mod explore;
 pub mod generators;
 pub mod key;
 mod stats;
@@ -55,15 +55,10 @@ pub mod sweep;
 mod table;
 
 pub use certify::{
-    certify_all, certify_one, paper_bound, worst_case_one, BoundCertificate, Certify,
-    CertifyBatchError, CertifyCell, CertifyErrorKind, CertifyRow, CertifySettings,
+    certify_all, certify_one, BoundCertificate, CertifyErrorKind, CertifySettings,
     DegradationVerdict, EvidenceTier, PaperBound, SearchStats,
 };
 pub use experiment::{Cell, Measurement};
-pub use explore::{
-    explore_one, explore_one_reference, explore_one_serial, Explore, ExploreBatchError,
-    ExploreCell, ExploreRow,
-};
 pub use generators::{
     clustered_config, from_gaps, periodic_config, quarter_ring_config, random_aperiodic_config,
     random_config, theorem5_config, uniform_config,

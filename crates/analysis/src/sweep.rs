@@ -181,7 +181,8 @@ pub enum SweepSchedule {
 }
 
 impl SweepSchedule {
-    fn resolve(self, seed: u64) -> Schedule {
+    /// The schedule of a cell instantiated with `seed`.
+    pub fn resolve(self, seed: u64) -> Schedule {
         match self {
             SweepSchedule::Preset(preset) => preset,
             SweepSchedule::RandomPerSeed => Schedule::Random(seed),

@@ -46,7 +46,7 @@
 
 use std::time::{Duration, Instant};
 
-use ringdeploy_analysis::{oracle_moves, worst_case_one, Adversary, Objective, WorstCase};
+use ringdeploy_analysis::{oracle_moves, Adversary, Objective, WorstCase};
 use ringdeploy_core::Algorithm;
 use ringdeploy_sim::explore::{ExploreLimits, SymmetryMode};
 use ringdeploy_sim::InitialConfig;
@@ -112,22 +112,22 @@ fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> S
             .bound_prune(bound_prune)
     };
     let (pruned_case, pruned) = best_of(repeats, || {
-        worst_case_one(
-            algorithm,
-            &init,
-            &engine(SymmetryMode::Dihedral, true),
-            Objective::TotalMoves,
-        )
-        .expect("pruned search succeeds")
+        algorithm
+            .worst_case(
+                &init,
+                &engine(SymmetryMode::Dihedral, true),
+                Objective::TotalMoves,
+            )
+            .expect("pruned search succeeds")
     });
     let (unpruned_case, unpruned) = best_of(repeats, || {
-        worst_case_one(
-            algorithm,
-            &init,
-            &engine(SymmetryMode::Off, false),
-            Objective::TotalMoves,
-        )
-        .expect("unpruned search succeeds")
+        algorithm
+            .worst_case(
+                &init,
+                &engine(SymmetryMode::Off, false),
+                Objective::TotalMoves,
+            )
+            .expect("unpruned search succeeds")
     });
     assert_eq!(
         pruned_case.value,

@@ -50,8 +50,7 @@
 
 use std::time::{Duration, Instant};
 
-use ringdeploy_analysis::{explore_one, explore_one_reference, explore_one_serial};
-use ringdeploy_core::{Algorithm, FullKnowledge, LogSpace, NoKnowledge};
+use ringdeploy_core::{Algorithm, ExploreEngine, FullKnowledge, LogSpace, NoKnowledge};
 use ringdeploy_sim::explore::{ExploreLimits, ExploreReport, Explorer, SymmetryMode};
 use ringdeploy_sim::packed::{ring_heap_bytes, PackedState};
 use ringdeploy_sim::{InitialConfig, Ring};
@@ -235,11 +234,14 @@ fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> S
     let mut pairs = Vec::with_capacity(PAIRED_RUNS);
     for _ in 0..PAIRED_RUNS {
         let reference = timed(|| {
-            explore_one_reference(algorithm, &init, &rotation)
+            algorithm
+                .explore(&init, &rotation, ExploreEngine::Reference)
                 .expect("reference exploration succeeds")
         });
         let reduced = timed(|| {
-            explore_one_serial(algorithm, &init, &rotation).expect("serial exploration succeeds")
+            algorithm
+                .explore(&init, &rotation, ExploreEngine::Serial)
+                .expect("serial exploration succeeds")
         });
         pairs.push((reference, reduced));
     }
@@ -254,7 +256,9 @@ fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> S
     let reduced = pairs.iter().map(|(_, (_, t))| *t).min().expect("pairs");
     let ((reference_report, _), (reduced_report, _)) = pairs.pop().expect("at least one pair");
     let (plain_report, plain) = best_of(repeats, || {
-        explore_one_serial(algorithm, &init, &explorer_for(&init, SymmetryMode::Off, 1))
+        let plain = explorer_for(&init, SymmetryMode::Off, 1);
+        algorithm
+            .explore(&init, &plain, ExploreEngine::Serial)
             .expect("plain exploration succeeds")
     });
     // Timed parallel run only where an honest measurement exists (≥ 2
@@ -263,21 +267,20 @@ fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> S
     // so the report-identity assertions below hold everywhere.
     let (parallel_report, parallel) = if cores() >= 2 {
         let (report, elapsed) = best_of(repeats, || {
-            explore_one(
-                algorithm,
-                &init,
-                &explorer_for(&init, SymmetryMode::Rotation, cores()),
-            )
-            .expect("parallel exploration succeeds")
+            let parallel = explorer_for(&init, SymmetryMode::Rotation, cores());
+            algorithm
+                .explore(&init, &parallel, ExploreEngine::Stealing)
+                .expect("parallel exploration succeeds")
         });
         (report, Some(elapsed))
     } else {
-        let report = explore_one(
-            algorithm,
-            &init,
-            &explorer_for(&init, SymmetryMode::Rotation, 2),
-        )
-        .expect("parallel exploration succeeds");
+        let report = algorithm
+            .explore(
+                &init,
+                &explorer_for(&init, SymmetryMode::Rotation, 2),
+                ExploreEngine::Stealing,
+            )
+            .expect("parallel exploration succeeds");
         (report, None)
     };
     assert_eq!(

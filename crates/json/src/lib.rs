@@ -166,6 +166,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_whitespace();
         let value = p.value()?;
@@ -236,9 +237,16 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so an unbounded depth would let one line of `[`s overflow the
+/// stack; no frame or report nests more than a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -284,11 +292,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(&b) => Err(self.error(format!("unexpected byte `{}`", b as char))),
         }
+    }
+
+    /// Parses one array or object, one level deeper than the caller.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -618,6 +640,23 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{'a':1}").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_parse_error() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(matches!(
+            Json::parse(&nested(MAX_DEPTH + 1)),
+            Err(JsonError::Parse { at, .. }) if at == MAX_DEPTH
+        ));
+        // Deep enough to overflow the stack without the cap.
+        assert!(matches!(
+            Json::parse(&"[".repeat(200_000)),
+            Err(JsonError::Parse { .. })
+        ));
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

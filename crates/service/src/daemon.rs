@@ -125,8 +125,10 @@ pub enum Event {
     Frame {
         /// Source connection.
         conn: ConnId,
-        /// The raw line (one JSON frame).
-        line: String,
+        /// The raw line (one JSON frame), or why the transport refused
+        /// it (too long, not UTF-8); a refusal is answered with an
+        /// `error` frame.
+        line: Result<String, String>,
     },
     /// The connection reached EOF or errored.
     Closed {
@@ -417,7 +419,7 @@ impl Daemon {
                     },
                 );
             }
-            Event::Frame { conn, line } => match parse_request(&line) {
+            Event::Frame { conn, line } => match line.and_then(|line| parse_request(&line)) {
                 Ok(request) => self.handle_request(conn, request),
                 Err(message) => self.send_to(conn, &Response::Error { id: None, message }),
             },

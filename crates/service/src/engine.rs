@@ -13,7 +13,7 @@
 //! is a pure function of the key (the cache-soundness requirement):
 //!
 //! * exploration runs the **clone-free serial DFS**
-//!   ([`explore_one_serial`]) — the work-stealing engine is
+//!   ([`ExploreEngine::Serial`]) — the work-stealing engine is
 //!   deterministic at one worker too, but its `peak_frontier` metric
 //!   (peak outstanding steal tasks) differs from the serial engine's
 //!   (peak DFS path depth), and the serial engine keeps cached results
@@ -27,8 +27,8 @@
 //! any payload a client receives.
 
 use ringdeploy_analysis::key::{InstanceKey, JobKind};
-use ringdeploy_analysis::{certify_all, explore_one_serial, CertifySettings, Objective};
-use ringdeploy_core::Deployment;
+use ringdeploy_analysis::{certify_all, CertifySettings, Objective};
+use ringdeploy_core::{Deployment, ExploreEngine};
 use ringdeploy_json::{Json, ToJson};
 use ringdeploy_sim::adversary::Adversary;
 use ringdeploy_sim::explore::{ExploreLimits, Explorer, SymmetryMode};
@@ -127,7 +127,9 @@ pub(crate) fn compute_group(keys: &[InstanceKey]) -> Vec<Result<Json, String>> {
             })],
         JobKind::Explore => {
             let explorer = Explorer::new().limits(ExploreLimits::for_instance(n, k));
-            vec![explore_one_serial(first.algorithm, &init, &explorer)
+            vec![first
+                .algorithm
+                .explore(&init, &explorer, ExploreEngine::Serial)
                 .map_err(|e| e.to_string())
                 .map(|mut report| {
                     report.instance_fingerprint = Some(fingerprint);

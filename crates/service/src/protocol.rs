@@ -27,9 +27,7 @@
 //! precedes connection close.
 
 use ringdeploy_analysis::key::{InstanceKey, JobKind};
-use ringdeploy_analysis::{
-    Certify, EvidenceTier, Explore, Objective, Sweep, SweepSchedule, Workload,
-};
+use ringdeploy_analysis::{EvidenceTier, Objective, SweepSchedule, Workload};
 use ringdeploy_core::Algorithm;
 use ringdeploy_json::{FromJson, Json, JsonError, ToJson};
 use ringdeploy_sim::{FaultPlan, InitialConfig};
@@ -66,11 +64,9 @@ impl Backpressure {
 }
 
 /// A batch of queries of one [`JobKind`], expressed as a cross product —
-/// the submit payload. Expands to [`InstanceKey`]s via [`JobSpec::keys`]
-/// by reusing the deterministic cell enumerations of the existing batch
-/// builders ([`Sweep::cells`], [`Explore::cells`], [`Certify::cells`]),
-/// so a job's row order is identical to the corresponding offline
-/// batch's row order.
+/// the submit payload. [`JobSpec::keys`] expands it to [`InstanceKey`]s
+/// in the job's deterministic row order; it is the one place explore,
+/// adversary and certify grids are enumerated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Which engine runs.
@@ -130,78 +126,66 @@ impl JobSpec {
         self
     }
 
-    /// Expands the cross product into cache keys, in the deterministic
-    /// row order of the underlying batch builder.
+    /// Expands the cross product into cache keys, in row order:
+    /// algorithms → workloads → {schedules (sweep) | objectives
+    /// (adversary, certify) | one empty slot (explore)} → seeds.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for empty dimensions and for
-    /// workloads whose sizes [`InitialConfig::check_size`] refuses.
+    /// Returns a human-readable message for an empty algorithm or
+    /// workload list and for workloads whose sizes
+    /// [`InitialConfig::check_size`] refuses.
     pub fn keys(&self) -> Result<Vec<InstanceKey>, String> {
         for workload in &self.workloads {
             InitialConfig::check_size(workload.n(), workload.k())
                 .map_err(|e| format!("{}: {e}", workload.label()))?;
         }
-        let seeds = if self.seeds.is_empty() {
-            vec![0]
-        } else {
-            self.seeds.clone()
-        };
-        let mut keys: Vec<InstanceKey> = match self.kind {
-            JobKind::Sweep => {
-                let mut sweep = Sweep::new()
-                    .algorithms(self.algorithms.iter().copied())
-                    .workloads(self.workloads.iter().copied())
-                    .seeds(seeds);
-                let schedules = if self.schedules.is_empty() {
-                    &[SweepSchedule::RandomPerSeed][..]
-                } else {
-                    &self.schedules[..]
-                };
-                for schedule in schedules {
-                    sweep = match schedule {
-                        SweepSchedule::Preset(preset) => sweep.schedule(*preset),
-                        SweepSchedule::RandomPerSeed => sweep.random_per_seed(),
-                    };
-                }
-                let cells = sweep.cells().map_err(|e| e.to_string())?;
-                cells.iter().map(InstanceKey::for_sweep).collect()
+        for (dimension, empty) in [
+            ("algorithm", self.algorithms.is_empty()),
+            ("workload", self.workloads.is_empty()),
+        ] {
+            if empty {
+                return Err(format!("{} job has an empty {dimension} list", self.kind));
             }
-            JobKind::Explore => {
-                let explore = Explore::new()
-                    .algorithms(self.algorithms.iter().copied())
-                    .workloads(self.workloads.iter().copied())
-                    .seeds(seeds);
-                let cells = explore.cells().map_err(|e| e.to_string())?;
-                cells.iter().map(InstanceKey::for_explore).collect()
+        }
+        let seeds = if self.seeds.is_empty() {
+            &[0][..]
+        } else {
+            &self.seeds[..]
+        };
+        // The kind's own dimension, as (schedule, objective) slots.
+        let slots: Vec<(Option<SweepSchedule>, Option<Objective>)> = match self.kind {
+            JobKind::Sweep if self.schedules.is_empty() => {
+                vec![(Some(SweepSchedule::RandomPerSeed), None)]
+            }
+            JobKind::Sweep => self.schedules.iter().map(|&s| (Some(s), None)).collect(),
+            JobKind::Explore => vec![(None, None)],
+            JobKind::Adversary | JobKind::Certify if self.objectives.is_empty() => {
+                Objective::ALL.map(|o| (None, Some(o))).to_vec()
             }
             JobKind::Adversary | JobKind::Certify => {
-                let mut certify = Certify::new()
-                    .algorithms(self.algorithms.iter().copied())
-                    .workloads(self.workloads.iter().copied())
-                    .seeds(seeds)
-                    .tier(self.tier);
-                if !self.objectives.is_empty() {
-                    certify = certify.objectives(self.objectives.iter().copied());
-                }
-                let cells = certify.cells().map_err(|e| e.to_string())?;
-                cells
-                    .iter()
-                    .map(|cell| {
-                        if self.kind == JobKind::Adversary {
-                            InstanceKey::for_adversary(cell)
-                        } else {
-                            InstanceKey::for_certify(cell, self.tier)
-                        }
-                    })
-                    .collect()
+                self.objectives.iter().map(|&o| (None, Some(o))).collect()
             }
         };
-        if !self.faults.is_empty() {
-            keys = keys
-                .into_iter()
-                .map(|key| key.with_faults(self.faults.clone()))
-                .collect();
+        let tier = (self.kind == JobKind::Certify).then_some(self.tier);
+        let mut keys = Vec::new();
+        for &algorithm in &self.algorithms {
+            for &workload in &self.workloads {
+                for &(schedule, objective) in &slots {
+                    for &seed in seeds {
+                        keys.push(InstanceKey {
+                            kind: self.kind,
+                            algorithm,
+                            workload,
+                            schedule: schedule.map(|s| s.resolve(seed)),
+                            seed,
+                            objective,
+                            tier,
+                            faults: self.faults.clone(),
+                        });
+                    }
+                }
+            }
         }
         Ok(keys)
     }

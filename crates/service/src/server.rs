@@ -2,14 +2,15 @@
 //! event queue.
 //!
 //! Transport threads are dumb pipes — a reader thread turns lines into
-//! [`Event::Frame`]s, the accept thread turns sockets into
+//! [`Event::Frame`]s (`read_frames`, shared by both transports), the
+//! accept thread turns sockets into
 //! [`Event::Opened`]s — and all protocol logic lives in the actor. On
 //! shutdown the daemon hangs up every connection
 //! ([`ClientSink::hangup`]), which unblocks the readers; the accept
 //! loop is unblocked by a self-connection, and [`Server::run`] joins
 //! every transport thread before returning.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
@@ -37,13 +38,42 @@ impl ClientSink for TcpSink {
     }
 }
 
-/// Reads lines from `stream`, posting each as a frame; posts `Closed`
-/// on EOF or error. Exits when the daemon hangs the socket up.
-fn read_loop(conn: u64, stream: TcpStream, events: Sender<Event>) {
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+/// The longest request line a connection may send, newline excluded.
+/// Far above any submit frame; a longer line is refused, not buffered.
+const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// Reads newline-delimited frames from `reader` and posts each
+/// non-blank one to the daemon; posts `Closed` on EOF or a read error.
+/// A line over [`MAX_FRAME_BYTES`], or one that is not UTF-8, is
+/// skipped up to its newline and posted as a refusal, so the daemon
+/// answers `error` and the connection stays open. Exits when the
+/// daemon is gone or hangs the connection up.
+fn read_frames(mut reader: impl BufRead, conn: u64, events: Sender<Event>) {
+    let mut bytes = Vec::new();
+    loop {
+        bytes.clear();
+        let limit = MAX_FRAME_BYTES as u64 + 1;
+        match Read::take(&mut reader, limit).read_until(b'\n', &mut bytes) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        let line = if bytes.last() == Some(&b'\n') {
+            bytes.pop();
+            Ok(&bytes[..])
+        } else if bytes.len() > MAX_FRAME_BYTES {
+            if reader.skip_until(b'\n').is_err() {
+                break;
+            }
+            Err(format!("frame longer than {MAX_FRAME_BYTES} bytes refused"))
+        } else {
+            Ok(&bytes[..]) // the last line, cut by EOF
+        };
+        let line = line.and_then(|line| {
+            std::str::from_utf8(line)
+                .map(|line| line.strip_suffix('\r').unwrap_or(line).to_string())
+                .map_err(|_| "frame is not UTF-8".to_string())
+        });
+        if matches!(&line, Ok(line) if line.trim().is_empty()) {
             continue;
         }
         if events.send(Event::Frame { conn, line }).is_err() {
@@ -121,7 +151,7 @@ impl Server {
                         let events = events.clone();
                         let reader = std::thread::Builder::new()
                             .name(format!("ringdeployd-reader-{conn}"))
-                            .spawn(move || read_loop(conn, stream, events))
+                            .spawn(move || read_frames(BufReader::new(stream), conn, events))
                             .expect("spawn reader thread");
                         readers.push(reader);
                     }
@@ -163,7 +193,7 @@ impl ClientSink for StdoutSink {}
 ///
 /// The stdin reader thread is detached, not joined: if the client sends
 /// a `shutdown` frame without closing stdin, the reader stays blocked
-/// in `read_line` and only exits with the process.
+/// in `read_frames` and only exits with the process.
 pub fn serve_stdio(config: DaemonConfig) -> StatsReport {
     let (daemon, events) = Daemon::new(config);
     events
@@ -173,24 +203,9 @@ pub fn serve_stdio(config: DaemonConfig) -> StatsReport {
             eof_is_shutdown: true,
         })
         .expect("daemon receiver alive");
-    {
-        let events = events.clone();
-        std::thread::Builder::new()
-            .name("ringdeployd-stdin".to_string())
-            .spawn(move || {
-                let stdin = io::stdin();
-                for line in stdin.lock().lines() {
-                    let Ok(line) = line else { break };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    if events.send(Event::Frame { conn: 0, line }).is_err() {
-                        return;
-                    }
-                }
-                let _ = events.send(Event::Closed { conn: 0 });
-            })
-            .expect("spawn stdin reader");
-    }
+    std::thread::Builder::new()
+        .name("ringdeployd-stdin".to_string())
+        .spawn(move || read_frames(io::stdin().lock(), 0, events))
+        .expect("spawn stdin reader");
     daemon.run()
 }

@@ -5,14 +5,17 @@
 //! no-thread-leak assertion — `Server::run` joins the pool, the accept
 //! thread and every reader before returning).
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::thread::JoinHandle;
 
 use ringdeploy_analysis::key::JobKind;
 use ringdeploy_analysis::{Objective, Workload};
 use ringdeploy_core::Algorithm;
+use ringdeploy_json::ToJson;
 use ringdeploy_service::{
-    engine, Backpressure, Client, DaemonConfig, JobSpec, Request, Response, RowFrame, Server,
-    StatsReport,
+    engine, parse_response, Backpressure, Client, DaemonConfig, JobSpec, Request, Response,
+    RowFrame, Server, StatsReport,
 };
 
 fn start(config: DaemonConfig) -> (String, JoinHandle<StatsReport>) {
@@ -354,6 +357,51 @@ fn oversized_rings_are_refused_without_a_panic() {
     handle.join().expect("server thread");
 }
 
+/// Sends `line` raw, then `stats` on the same connection: the line must
+/// get an `error` frame with `id: null`, and the connection must stay
+/// open and answer `stats` with no panic counted. Returns the error
+/// message.
+fn refused_line_keeps_the_connection(line: &[u8]) -> String {
+    let (addr, handle) = start(small_config());
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone socket");
+    writer.write_all(line).expect("send line");
+    writer
+        .write_all(format!("\n{}\n", Request::Stats.to_json()).as_bytes())
+        .expect("send stats");
+    let mut reader = BufReader::new(stream);
+    let mut recv = || {
+        let mut frame = String::new();
+        reader.read_line(&mut frame).expect("recv frame");
+        parse_response(&frame).expect("valid frame")
+    };
+    let Response::Error { id: None, message } = recv() else {
+        panic!("expected an unattributed error frame");
+    };
+    let Response::Stats(stats) = recv() else {
+        panic!("expected the stats frame");
+    };
+    assert_eq!(stats.panics, 0);
+    writer
+        .write_all(format!("{}\n", Request::Shutdown.to_json()).as_bytes())
+        .expect("send shutdown");
+    assert_eq!(recv(), Response::Bye);
+    handle.join().expect("server thread");
+    message
+}
+
+#[test]
+fn deeply_nested_frames_are_refused_without_an_abort() {
+    let message = refused_line_keeps_the_connection("[".repeat(200_000).as_bytes());
+    assert!(message.contains("nesting deeper than"), "{message}");
+}
+
+#[test]
+fn oversized_lines_are_refused_and_the_connection_survives() {
+    let message = refused_line_keeps_the_connection(&vec![b'x'; 2 << 20]);
+    assert!(message.contains("longer than"), "{message}");
+}
+
 /// Two clients stream interleaved jobs; each sees its own rows in
 /// order with its own id.
 #[test]
@@ -472,8 +520,9 @@ fn failed_cells_abort_the_job_not_the_daemon() {
     assert!(
         frames
             .iter()
-            .any(|f| matches!(f, Response::Error { id: Some(1), .. })),
-        "invalid cell surfaces as an error frame: {frames:?}"
+            .any(|f| matches!(f, Response::Error { id: Some(1), message }
+            if message.contains("periodic(n=12,k=4,l=3)"))),
+        "invalid cell surfaces as an error frame naming the cell: {frames:?}"
     );
     assert!(
         !frames.iter().any(|f| matches!(f, Response::Done { .. })),

@@ -69,7 +69,7 @@ use std::process::ExitCode;
 
 use rand::SeedableRng;
 use ringdeploy::analysis::certify::{certify_all, CertifySettings, EvidenceTier};
-use ringdeploy::analysis::{random_config, worst_case_one};
+use ringdeploy::analysis::random_config;
 use ringdeploy::sim::adversary::{Adversary, Objective};
 use ringdeploy::sim::explore::SymmetryMode;
 use ringdeploy::{
@@ -501,7 +501,7 @@ fn explore_instance(
     opts: &Options,
     init: &InitialConfig,
 ) -> Result<ringdeploy::sim::explore::ExploreReport, String> {
-    use ringdeploy::analysis::{explore_one, explore_one_serial};
+    use ringdeploy::core::ExploreEngine;
     use ringdeploy::sim::explore::{ExploreLimits, Explorer};
 
     let mut explorer = Explorer::new()
@@ -513,12 +513,14 @@ fn explore_instance(
     if let Some(threads) = opts.explore_threads {
         explorer = explorer.threads(threads);
     }
-    let result = if opts.explore_serial {
-        explore_one_serial(opts.algo, init, &explorer)
+    let engine = if opts.explore_serial {
+        ExploreEngine::Serial
     } else {
-        explore_one(opts.algo, init, &explorer)
+        ExploreEngine::Stealing
     };
-    result.map_err(|e| format!("exhaustive verification FAILED: {e}"))
+    opts.algo
+        .explore(init, &explorer, engine)
+        .map_err(|e| format!("exhaustive verification FAILED: {e}"))
 }
 
 /// Synthesises the exact worst-case schedule for one objective
@@ -532,7 +534,9 @@ fn adversary(opts: &Options, init: &InitialConfig, objective: Objective) -> Resu
             init.agent_count(),
         ))
         .symmetry(opts.symmetry);
-    let worst = worst_case_one(opts.algo, init, &engine, objective)
+    let worst = opts
+        .algo
+        .worst_case(init, &engine, objective)
         .map_err(|e| format!("worst-case search FAILED: {e}"))?;
     if opts.json {
         #[cfg(feature = "serde")]

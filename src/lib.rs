@@ -46,9 +46,9 @@
 //! [`Deployment::synchronous`]; parameter studies cross-product
 //! algorithms × workloads × schedules × seeds with [`Sweep`] and run the
 //! cells in parallel. For machine-checked proofs on small instances,
-//! [`Explore`] runs the symmetry-reduced exhaustive model checker
-//! ([`sim::explore::Explorer`]) over **every** fair schedule of each
-//! cell.
+//! [`ProblemFamily::explore`] runs the symmetry-reduced exhaustive model
+//! checker ([`sim::explore::Explorer`]) over **every** fair schedule of
+//! one instance; the daemon's `explore` jobs run whole grids of them.
 //!
 //! See `README.md` for the architecture overview, `DESIGN.md` for the
 //! paper-to-module map and the `experiments` binary for the reproduced
@@ -69,8 +69,7 @@ pub use ringdeploy_sim as sim;
 pub use ringdeploy_vis as vis;
 
 pub use ringdeploy_analysis::{
-    Adversary, BoundCertificate, Certify, CertifyRow, Explore, ExploreRow, Objective, Sweep,
-    SweepRow, Workload, WorstCase,
+    Adversary, BoundCertificate, Objective, Sweep, SweepRow, Workload, WorstCase,
 };
 pub use ringdeploy_core::{
     Algorithm, DeployError, DeployReport, Deployment, Family, FullKnowledge, LogSpace, NoKnowledge,

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use ringdeploy::analysis::explore_one;
+use ringdeploy::core::ExploreEngine;
 use ringdeploy::sim::adversary::{Adversary, AdversaryError, Objective, WorstCase};
 use ringdeploy::sim::canonical::plain_fingerprint;
 use ringdeploy::sim::explore::{ExploreLimits, Explorer, SymmetryMode};
@@ -47,7 +47,7 @@ fn try_adversary_value(
         ))
         .symmetry(symmetry)
         .bound_prune(prune);
-    ringdeploy::analysis::worst_case_one(algorithm, init, &adversary, objective)
+    algorithm.worst_case(init, &adversary, objective)
 }
 
 fn adversary_value(
@@ -146,7 +146,7 @@ fn search_covers_exactly_the_explorers_reachable_space() {
                     .limits(ExploreLimits::for_instance(n, init.agent_count()))
                     .symmetry(symmetry)
                     .threads(1);
-                let explored = match explore_one(algorithm, &init, &explorer) {
+                let explored = match algorithm.explore(&init, &explorer, ExploreEngine::Stealing) {
                     Ok(explored) => explored,
                     // The dihedral fold can merge a state with its
                     // distinct mirror and report a spurious quotient

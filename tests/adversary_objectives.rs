@@ -15,7 +15,6 @@
 #![cfg(feature = "serde")]
 
 use ringdeploy::analysis::certify::{certify_all, certify_one, CertifySettings, EvidenceTier};
-use ringdeploy::analysis::worst_case_one;
 use ringdeploy::json::ToJson;
 use ringdeploy::sim::adversary::{Adversary, AdversaryError, Objective, WorstCase};
 use ringdeploy::sim::explore::{ExploreLimits, SymmetryMode};
@@ -119,7 +118,7 @@ fn fused_search_matches_one_objective_search_on_every_family() {
                     let label = format!("{algorithm} n={n} {homes:?} {plan_label} {symmetry:?}");
                     assert_fused_matches(
                         &label,
-                        |objective| worst_case_one(algorithm, &init, &engine, objective),
+                        |objective| algorithm.worst_case(&init, &engine, objective),
                         |objectives| algorithm.worst_case_all(&init, &engine, objectives),
                     );
                 }
@@ -136,7 +135,8 @@ fn algo1_moves_leave_the_walk_where_the_bound_prune_fires() {
     let init = InitialConfig::new(8, vec![0, 1, 2]).expect("valid");
     for symmetry in [SymmetryMode::Rotation, SymmetryMode::Off] {
         let engine = adversary(&init, symmetry);
-        let moves = worst_case_one(Algorithm::FullKnowledge, &init, &engine, TotalMoves)
+        let moves = Algorithm::FullKnowledge
+            .worst_case(&init, &engine, TotalMoves)
             .expect("search succeeds");
         assert!(moves.bound_prunes > 0, "{symmetry:?}: the prune must fire");
         let fused = Algorithm::FullKnowledge.worst_case_all(&init, &engine, &Objective::ALL);
@@ -147,7 +147,7 @@ fn algo1_moves_leave_the_walk_where_the_bound_prune_fires() {
         }
         assert_fused_matches(
             &format!("algo1 {symmetry:?}"),
-            |objective| worst_case_one(Algorithm::FullKnowledge, &init, &engine, objective),
+            |objective| Algorithm::FullKnowledge.worst_case(&init, &engine, objective),
             |objectives| Algorithm::FullKnowledge.worst_case_all(&init, &engine, objectives),
         );
     }
@@ -246,7 +246,7 @@ fn a_cycle_is_the_same_error_for_every_objective() {
     let tight = Adversary::new().limits(ExploreLimits::new(40, 10_000));
     assert_fused_matches(
         "algo1 under a tight state budget",
-        |objective| worst_case_one(Algorithm::FullKnowledge, &init, &tight, objective),
+        |objective| Algorithm::FullKnowledge.worst_case(&init, &tight, objective),
         |objectives| Algorithm::FullKnowledge.worst_case_all(&init, &tight, objectives),
     );
 }

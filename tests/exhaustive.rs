@@ -7,7 +7,7 @@
 //! * termination under arbitrary (even unfair-in-the-limit) schedules —
 //!   the configuration graph is acyclic.
 
-use ringdeploy::analysis::explore_one;
+use ringdeploy::core::ExploreEngine;
 use ringdeploy::sim::explore::{
     explore_all_schedules, ExploreLimits, ExploreReport, Explorer, SymmetryMode,
 };
@@ -17,7 +17,7 @@ use ringdeploy::{
 };
 
 /// Runs the symmetry-reduced explorer on one instance through the shared
-/// algorithm dispatch (`analysis::explore_one`), asserting success and
+/// family dispatch (`ProblemFamily::explore`), asserting success and
 /// returning the report. Two workers exercise the work-stealing engine
 /// (donation, striped visited map) at verification scale regardless of
 /// host core count; the serial reference is differentially checked in
@@ -29,7 +29,8 @@ fn verify_instance(n: usize, homes: &[usize], algorithm: Algorithm) -> ExploreRe
         .limits(ExploreLimits::for_instance(n, k))
         .symmetry(SymmetryMode::Rotation)
         .threads(2);
-    let report = explore_one(algorithm, &init, &explorer)
+    let report = algorithm
+        .explore(&init, &explorer, ExploreEngine::Stealing)
         .unwrap_or_else(|e| panic!("n={n} homes={homes:?}: {e}"));
     assert!(report.terminals >= 1, "n={n} homes={homes:?}");
     assert!(report.states > report.terminals, "n={n} homes={homes:?}");
@@ -249,29 +250,32 @@ fn gathering_exhaustive_n16_k6_g3() {
 fn symmetry_reduction_preserves_the_verdict() {
     // The quotient must change the state count, never the outcome: on a
     // fully symmetric instance both modes verify the same property.
-    let init = InitialConfig::new(12, vec![0, 3, 6, 9]).expect("valid");
-    let pred = |r: &Ring<FullKnowledge>| satisfies_halting_deployment(r).is_satisfied();
-    let ring = Ring::new(&init, |_| FullKnowledge::new(4));
-    let plain = Explorer::new()
-        .symmetry(SymmetryMode::Off)
-        .threads(1)
-        .run(&ring, pred)
-        .expect("plain exploration");
-    let reduced = Explorer::new()
-        .symmetry(SymmetryMode::Rotation)
-        .threads(1)
-        .run(&ring, pred)
-        .expect("reduced exploration");
-    assert!(
-        reduced.states * 3 < plain.states,
-        "l = 4 symmetry must cut states by ≥3× ({} vs {})",
-        reduced.states,
-        plain.states
-    );
-    // Each terminal class's orbit has size dividing l = 4 (1, 2 or 4),
-    // so only these bounds are sound — NOT divisibility of the totals.
-    assert!(plain.terminals >= reduced.terminals);
-    assert!(plain.terminals <= 4 * reduced.terminals);
+    for (n, homes) in [(12usize, vec![0usize, 3, 6, 9]), (8, vec![0, 2, 4, 6])] {
+        let init = InitialConfig::new(n, homes).expect("valid");
+        let pred = |r: &Ring<FullKnowledge>| satisfies_halting_deployment(r).is_satisfied();
+        let ring = Ring::new(&init, |_| FullKnowledge::new(4));
+        let plain = Explorer::new()
+            .symmetry(SymmetryMode::Off)
+            .threads(1)
+            .run(&ring, pred)
+            .expect("plain exploration");
+        let reduced = Explorer::new()
+            .symmetry(SymmetryMode::Rotation)
+            .threads(1)
+            .run(&ring, pred)
+            .expect("reduced exploration");
+        assert!(
+            reduced.states * 3 < plain.states,
+            "n = {n}: l = 4 symmetry must cut states by ≥3× ({} vs {})",
+            reduced.states,
+            plain.states
+        );
+        // Each terminal class's orbit has size dividing l = 4 (1, 2 or
+        // 4), so only these bounds are sound — NOT divisibility of the
+        // totals.
+        assert!(plain.terminals >= reduced.terminals);
+        assert!(plain.terminals <= 4 * reduced.terminals);
+    }
 }
 
 #[test]

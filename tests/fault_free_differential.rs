@@ -18,8 +18,10 @@ use std::hash::{Hash, Hasher};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use ringdeploy::analysis::key::InstanceKey;
+use ringdeploy::analysis::key::JobKind;
+use ringdeploy::analysis::SweepSchedule;
 use ringdeploy::core::{explore_terminal_ok, ExploreEngine};
+use ringdeploy::service::JobSpec;
 use ringdeploy::sim::canonical::{canonical_fingerprint, plain_fingerprint};
 use ringdeploy::sim::explore::{ExploreReport, Explorer, SymmetryMode};
 use ringdeploy::sim::scheduler::Random;
@@ -29,7 +31,7 @@ use ringdeploy::sim::{
 };
 use ringdeploy::{
     Algorithm, FaultPlan, FullKnowledge, InitialConfig, LogSpace, NoKnowledge, PartialGathering,
-    Ring, Schedule, Sweep, Workload,
+    Ring, Schedule, Workload,
 };
 
 fn schedule_hash<B>(ring: &Ring<B>) -> u64
@@ -205,22 +207,26 @@ fn fault_free_terminals_never_degrade() {
 /// hitting entries computed before the fault subsystem existed.
 #[test]
 fn empty_plan_preserves_daemon_cache_keys() {
-    let sweep = Sweep::new()
-        .algorithms([
+    let job = JobSpec {
+        algorithms: vec![
             Algorithm::FullKnowledge,
             Algorithm::LogSpace,
             Algorithm::Relaxed,
             Algorithm::partial_gathering(2),
             Algorithm::partial_gathering(3),
-        ])
-        .workload(Workload::Random { n: 16, k: 4 })
-        .schedule(Schedule::RoundRobin)
-        .seeds([0, 7]);
-    let cells = sweep.cells().expect("cells");
-    assert!(!cells.is_empty());
-    for cell in &cells {
-        let bare = InstanceKey::for_sweep(cell);
-        let tagged = InstanceKey::for_sweep(cell).with_faults(FaultPlan::none());
+        ],
+        schedules: vec![SweepSchedule::Preset(Schedule::RoundRobin)],
+        seeds: vec![0, 7],
+        ..JobSpec::new(
+            JobKind::Sweep,
+            Algorithm::FullKnowledge,
+            Workload::Random { n: 16, k: 4 },
+        )
+    };
+    let keys = job.keys().expect("keys");
+    assert!(!keys.is_empty());
+    for bare in &keys {
+        let tagged = bare.clone().with_faults(FaultPlan::none());
         assert_eq!(bare.canonical(), tagged.canonical());
         assert_eq!(bare.fingerprint(), tagged.fingerprint());
         assert!(!tagged.canonical().contains("faults"));

@@ -3,7 +3,7 @@
 //! deployment to ride the `ProblemFamily` trait through the entire
 //! verification stack. Every harness below reaches the family through
 //! the same generic surfaces as the uniform families — `Deployment`,
-//! `explore_one`, `worst_case_one`, `certify_one` — with zero
+//! `ProblemFamily::{explore, worst_case}`, `certify_one` — with zero
 //! gathering-specific plumbing above `ringdeploy-core`:
 //!
 //! * **exhaustive coverage** — the terminal set of the symmetry-reduced
@@ -21,10 +21,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ringdeploy::analysis::certify::{certify_one, CertifySettings, EvidenceTier};
-use ringdeploy::analysis::{
-    explore_one, gathering_oracle_brute_force, gathering_oracle_moves, random_config,
-    worst_case_one,
-};
+use ringdeploy::analysis::{gathering_oracle_brute_force, gathering_oracle_moves, random_config};
+use ringdeploy::core::ExploreEngine;
 use ringdeploy::sim::adversary::{Adversary, Objective};
 use ringdeploy::sim::canonical::canonical_fingerprint;
 use ringdeploy::sim::explore::{ExploreLimits, Explorer, SymmetryMode};
@@ -58,7 +56,8 @@ fn exhaustive_terminal_set_covers_every_sampled_run() {
             .limits(ExploreLimits::for_instance(n, k))
             .symmetry(SymmetryMode::Rotation)
             .threads(1);
-        let explored = explore_one(family, &init, &explorer)
+        let explored = family
+            .explore(&init, &explorer, ExploreEngine::Stealing)
             .unwrap_or_else(|e| panic!("n={n} homes={homes:?}: explore failed: {e}"));
         assert!(explored.terminals >= 1);
         for schedule in schedules(k) {
@@ -101,22 +100,22 @@ fn adversarial_worst_dominates_every_sampled_schedule() {
         }
         let limits = ExploreLimits::for_instance(n, k);
         for (objective, sampled_max) in Objective::ALL.into_iter().zip(sampled) {
-            let rotation = worst_case_one(
-                family,
-                &init,
-                &Adversary::new()
-                    .limits(limits)
-                    .symmetry(SymmetryMode::Rotation),
-                objective,
-            )
-            .unwrap_or_else(|e| panic!("n={n} {objective}: {e}"));
-            let plain = worst_case_one(
-                family,
-                &init,
-                &Adversary::new().limits(limits).symmetry(SymmetryMode::Off),
-                objective,
-            )
-            .unwrap_or_else(|e| panic!("n={n} {objective} plain: {e}"));
+            let rotation = family
+                .worst_case(
+                    &init,
+                    &Adversary::new()
+                        .limits(limits)
+                        .symmetry(SymmetryMode::Rotation),
+                    objective,
+                )
+                .unwrap_or_else(|e| panic!("n={n} {objective}: {e}"));
+            let plain = family
+                .worst_case(
+                    &init,
+                    &Adversary::new().limits(limits).symmetry(SymmetryMode::Off),
+                    objective,
+                )
+                .unwrap_or_else(|e| panic!("n={n} {objective} plain: {e}"));
             assert!(
                 rotation.value >= sampled_max,
                 "{objective} n={n} homes={homes:?}: adversarial max {} below sampled {}",
