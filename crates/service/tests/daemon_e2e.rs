@@ -398,8 +398,13 @@ fn deeply_nested_frames_are_refused_without_an_abort() {
 
 #[test]
 fn oversized_lines_are_refused_and_the_connection_survives() {
-    let message = refused_line_keeps_the_connection(&vec![b'x'; 2 << 20]);
-    assert!(message.contains("longer than"), "{message}");
+    for (line, needle) in [
+        (vec![b'x'; 2 << 20], "longer than"),
+        (vec![0xff, 0xfe], "not UTF-8"),
+    ] {
+        let message = refused_line_keeps_the_connection(&line);
+        assert!(message.contains(needle), "{message}");
+    }
 }
 
 /// Two clients stream interleaved jobs; each sees its own rows in

@@ -286,24 +286,6 @@ fn frame_encoding_is_deterministic() {
     assert!(!first.contains('\n'));
 }
 
-/// A job spec expands to keys in the deterministic batch row order, and
-/// those keys carry the spec's kind.
-#[test]
-fn job_spec_expansion_matches_batch_row_order() {
-    let job = JobSpec {
-        kind: JobKind::Sweep,
-        objectives: Vec::new(),
-        schedules: Vec::new(),
-        ..spec()
-    };
-    let keys = job.keys().expect("expansion");
-    // 2 algorithms × 2 workloads × 1 default schedule × 2 seeds.
-    assert_eq!(keys.len(), 8);
-    assert!(keys.iter().all(|k| k.kind == JobKind::Sweep));
-    let again = job.keys().expect("expansion is deterministic");
-    assert_eq!(keys, again);
-}
-
 /// Fault-plan and deadline plumbing: a faulty spec round-trips, emits
 /// the two extra fields, and every expanded key carries the plan — while
 /// the fault-free spec's encoding stays byte-identical to the pre-fault
@@ -359,15 +341,6 @@ fn fault_plans_and_deadlines_ride_the_job_spec() {
         assert!(key.faults.is_empty());
         assert!(!key.canonical().contains("faults"));
     }
-}
-
-#[test]
-fn empty_dimensions_are_rejected() {
-    let job = JobSpec {
-        algorithms: Vec::new(),
-        ..spec()
-    };
-    assert!(job.keys().is_err());
 }
 
 /// Cache-identity separation across problem families: two keys that

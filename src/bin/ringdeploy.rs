@@ -440,10 +440,8 @@ fn run(opts: &Options) -> Result<(), String> {
 }
 
 /// Exhaustively verifies the instance: every fair asynchronous schedule,
-/// with rotation-symmetry reduction, via the `Explore` batch surface.
+/// with rotation-symmetry reduction, via `ProblemFamily::explore`.
 fn explore(opts: &Options, init: &InitialConfig) -> Result<(), String> {
-    // The `Explore` batch surface enumerates Workload families; a CLI
-    // instance has explicit homes, so it drives the Explorer directly.
     let report = explore_instance(opts, init)?;
     if opts.json {
         #[cfg(feature = "serde")]
